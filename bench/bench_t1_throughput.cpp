@@ -45,11 +45,12 @@
 
 #include "bench_common.hpp"
 #include "obs/chrome_trace.hpp"
-#include "rt/afek_snapshot_rt.hpp"
-#include "rt/double_collect_rt.hpp"
-#include "snapshot/lattice_scan.hpp"
 #include "rt/thread_harness.hpp"
+#include "snapshot/baselines/afek_snapshot.hpp"
+#include "snapshot/baselines/double_collect.hpp"
 #include "snapshot/baselines/mutex_snapshot.hpp"
+#include "snapshot/atomic_snapshot.hpp"
+#include "snapshot/lattice_scan.hpp"
 #include "snapshot/tree_snapshot.hpp"
 #include "util/rng.hpp"
 

@@ -15,19 +15,31 @@
 //
 // Theorem 5: every output completes within (2n+1)·log2(Δ/ε) + O(n) steps,
 // and all outputs lie within an ε-interval inside the input range.
+//
+// Written once over the register-backend concept: ApproxAgreementSim and
+// rt::ApproxAgreementRT below are its two instantiations.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "agreement/approx_spec.hpp"
-#include "sim/world.hpp"
+#include "api/rt_backend.hpp"
+#include "api/sim_backend.hpp"
+#include "obs/span.hpp"
 
 namespace apram {
 
-class ApproxAgreementSim {
+template <class B>
+class ApproxAgreement {
  public:
+  using Ctx = typename B::Ctx;
+  template <class T>
+  using Coro = typename B::template Coro<T>;
+
   // One entry of the shared array r.
   struct Entry {
     double prefer = 0.0;
@@ -42,15 +54,15 @@ class ApproxAgreementSim {
     double prefer;
   };
 
-  ApproxAgreementSim(sim::World& world, int num_procs, double epsilon,
-                     const std::string& name = "aa")
+  ApproxAgreement(typename B::Mem& mem, int num_procs, double epsilon)
       : n_(num_procs), eps_(epsilon) {
     APRAM_CHECK(num_procs >= 1);
     APRAM_CHECK_MSG(epsilon > 0.0, "epsilon must be positive");
     r_.reserve(static_cast<std::size_t>(n_));
     for (int p = 0; p < n_; ++p) {
-      r_.push_back(&world.make_register<Entry>(
-          name + ".r[" + std::to_string(p) + "]", Entry{}, /*writer=*/p));
+      r_.push_back(&mem.template make<Entry>("r[" + std::to_string(p) + "]",
+                                             Entry{}, /*writer=*/p));
+      logs_.push_back(std::make_unique<Log>());
     }
   }
 
@@ -59,14 +71,13 @@ class ApproxAgreementSim {
 
   // input(P, x): installs x as P's initial preference (round 1); subsequent
   // calls have no effect. One read + (first time) one write.
-  sim::SimCoro<void> input(sim::Context ctx, double x) {
+  Coro<void> input(Ctx ctx, double x) {
     const int p = ctx.pid();
     ctx.op_begin(obs::OpKind::kInput);
-    const Entry mine = co_await ctx.read(*r_[static_cast<std::size_t>(p)]);
+    const Entry mine = co_await ctx.read(r(p));
     if (mine.round == 0) {
-      co_await ctx.write(*r_[static_cast<std::size_t>(p)],
-                         Entry{x, 1});
-      log_.push_back(WriteRecord{p, 1, x});
+      co_await ctx.write(r(p), Entry{x, 1});
+      log(p).push_back(WriteRecord{p, 1, x});
     }
     ctx.op_end(obs::OpKind::kInput);
   }
@@ -74,7 +85,7 @@ class ApproxAgreementSim {
   // output(P): the Figure 2 loop. P must have called input first (the paper
   // leaves output-before-any-input unspecified; we require the natural
   // discipline instead).
-  sim::SimCoro<double> output(sim::Context ctx) {
+  Coro<double> output(Ctx ctx) {
     const int p = ctx.pid();
     bool advance = false;
     ctx.op_begin(obs::OpKind::kOutput);
@@ -85,7 +96,7 @@ class ApproxAgreementSim {
       std::vector<Entry> entries;
       entries.reserve(static_cast<std::size_t>(n_));
       for (int q = 0; q < n_; ++q) {
-        Entry e = co_await ctx.read(*r_[static_cast<std::size_t>(q)]);
+        Entry e = co_await ctx.read(r(q));
         entries.push_back(e);
       }
       const Entry mine = entries[static_cast<std::size_t>(p)];
@@ -106,10 +117,8 @@ class ApproxAgreementSim {
         ctx.op_end(obs::OpKind::kOutput);
         co_return mine.prefer;
       } else if (leaders.size() < eps_ / 2.0 || advance) {
-        co_await ctx.write(
-            *r_[static_cast<std::size_t>(p)],
-            Entry{leaders.midpoint(), mine.round + 1});
-        log_.push_back(WriteRecord{p, mine.round + 1, leaders.midpoint()});
+        co_await ctx.write(r(p), Entry{leaders.midpoint(), mine.round + 1});
+        log(p).push_back(WriteRecord{p, mine.round + 1, leaders.midpoint()});
         advance = false;
       } else {
         advance = true;
@@ -118,26 +127,76 @@ class ApproxAgreementSim {
   }
 
   // Convenience: input followed by output.
-  sim::SimCoro<double> decide(sim::Context ctx, double x) {
+  Coro<double> decide(Ctx ctx, double x) {
     co_await input(ctx, x);
     const double y = co_await output(ctx);
     co_return y;
   }
 
-  // Test/bench introspection: P's current entry (no simulation step).
-  Entry peek_entry(int pid) const {
-    return r_[static_cast<std::size_t>(pid)]->peek();
+  // Test/debug access to P's entry register.
+  const typename B::template Reg<Entry>& register_at(int pid) const {
+    return r(pid);
   }
 
-  // Every (pid, round, prefer) ever written, in write order — the X_r sets
-  // of Lemmas 1-3, reconstructed from the execution itself.
-  const std::vector<WriteRecord>& write_log() const { return log_; }
+  // Every (pid, round, prefer) ever written — the X_r sets of Lemmas 1-3,
+  // reconstructed from the execution itself. Grouped by pid, each process's
+  // records in its own write order. Read at quiescence.
+  std::vector<WriteRecord> write_log() const {
+    std::vector<WriteRecord> all;
+    for (const auto& l : logs_) {
+      all.insert(all.end(), l->records.begin(), l->records.end());
+    }
+    return all;
+  }
 
  private:
+  // Each process appends only to its own log, on its own cache lines.
+  struct alignas(64) Log {
+    std::vector<WriteRecord> records;
+  };
+
+  typename B::template Reg<Entry>& r(int p) const {
+    return *r_[static_cast<std::size_t>(p)];
+  }
+  std::vector<WriteRecord>& log(int p) {
+    return logs_[static_cast<std::size_t>(p)]->records;
+  }
+
   int n_;
   double eps_;
-  std::vector<sim::Register<Entry>*> r_;
-  std::vector<WriteRecord> log_;
+  std::vector<typename B::template Reg<Entry>*> r_;
+  std::vector<std::unique_ptr<Log>> logs_;
 };
+
+class ApproxAgreementSim
+    : public api::SimOwned<ApproxAgreement<api::SimBackend>> {
+ public:
+  ApproxAgreementSim(sim::World& world, int num_procs, double epsilon,
+                     const std::string& name = "aa")
+      : SimOwned(world, name, num_procs, epsilon) {}
+
+  // P's current entry (no simulation step).
+  Entry peek_entry(int pid) const { return register_at(pid).peek(); }
+};
+
+namespace rt {
+
+// Thread p may call only the p-indexed entry points.
+class ApproxAgreementRT
+    : public api::RtOwned<ApproxAgreement<api::RtBackend>> {
+ public:
+  ApproxAgreementRT(int num_procs, double epsilon)
+      : RtOwned(num_procs, epsilon) {}
+
+  double epsilon() const { return impl_.epsilon(); }
+
+  void input(int p, double x) { impl_.input(api::RtBackend::Ctx{p}, x).get(); }
+  double output(int p) { return impl_.output(api::RtBackend::Ctx{p}).get(); }
+  double decide(int p, double x) {
+    return impl_.decide(api::RtBackend::Ctx{p}, x).get();
+  }
+};
+
+}  // namespace rt
 
 }  // namespace apram

@@ -165,10 +165,8 @@ struct RtBackend {
     }
 
     // Reclamation accounting summed over every register in this Mem (exact
-    // at quiescence). Under the default bounded registers live_versions()
-    // is bounded by concurrent holders, not by write count; under
-    // APRAM_RT_UNBOUNDED it equals the total number of versions ever
-    // written — which is what makes the gauge worth watching.
+    // at quiescence). live_versions() is bounded by concurrent holders, not
+    // by write count — which is what makes the gauge worth watching.
     rt::reclaim::ReclaimStats reclaim_stats() const {
       rt::reclaim::ReclaimStats total;
       for (const auto& h : holders_) total += h->reclaim_stats();
@@ -233,5 +231,45 @@ struct RtBackend {
 };
 
 static_assert(CasBackendFor<RtBackend, int>);
+
+// Owner of one rt object: the Mem plus the backend-templated object built
+// on it (Impl's constructor takes (Mem&, num_procs, extra args...)), and the
+// Mem's observability / fault-injection / reclamation attach points. Every
+// rt convenience wrapper (TreeScanRT, UnionFindRT, Counter2RT, ...) derives
+// from it and adds only its int-pid entry points: thread p calls them with
+// pid p, each wrapping one Impl coroutine drained with .get().
+template <class Impl>
+class RtOwned {
+ public:
+  int num_procs() const { return mem_.num_procs(); }
+
+  // See RtBackend::Mem::attach_obs / attach_injector / reclaim_stats /
+  // export_reclaim_gauges.
+  void attach_obs(obs::Registry& registry, const std::string& name,
+                  obs::Tracer* tracer = nullptr) {
+    mem_.attach_obs(registry, name, tracer);
+  }
+  void attach_injector(fault::RtInjector* injector) {
+    mem_.attach_injector(injector);
+  }
+  rt::reclaim::ReclaimStats reclaim_stats() const {
+    return mem_.reclaim_stats();
+  }
+  void export_reclaim_gauges(obs::Registry& registry,
+                             const std::string& name) const {
+    mem_.export_reclaim_gauges(registry, name);
+  }
+
+  // The backend-templated object, for composition and introspection.
+  Impl& object() { return impl_; }
+
+ protected:
+  template <class... Args>
+  explicit RtOwned(int num_procs, Args&&... args)
+      : mem_(num_procs), impl_(mem_, num_procs, std::forward<Args>(args)...) {}
+
+  RtBackend::Mem mem_;  // declared first: impl_'s registers live in it
+  Impl impl_;
+};
 
 }  // namespace apram::api

@@ -56,4 +56,24 @@ struct SimBackend {
 
 static_assert(CasBackendFor<SimBackend, int>);
 
+namespace detail {
+struct SimMemHolder {
+  SimBackend::Mem sim_mem_;
+};
+}  // namespace detail
+
+// Owner of one simulated object: builds the Mem (World + register-name
+// prefix) first, then the backend-templated object on it (Impl's
+// constructor takes (Mem&, extra args...)), which it then IS — a sim class
+// deriving from SimOwned exposes Impl's sim::Context entry points unchanged
+// and adds only what the simulator alone can offer (peeks at registers).
+template <class Impl>
+class SimOwned : private detail::SimMemHolder, public Impl {
+ public:
+  template <class... Args>
+  SimOwned(sim::World& world, std::string prefix, Args&&... args)
+      : detail::SimMemHolder{SimBackend::Mem(world, std::move(prefix))},
+        Impl(sim_mem_, std::forward<Args>(args)...) {}
+};
+
 }  // namespace apram::api

@@ -18,12 +18,16 @@
 //                 two-process testbed, and the Lemma 6 adversary
 //   algebra/    — §5.1 sequential specs and the commute/overwrite algebra
 //   graph/      — §5.3 precedence graphs and the Figure 3 lingraph
-//   core/       — §5.4 universal construction for commute/overwrite objects
+//   core/       — §5.3/§5.4 linearization shared by the universal
+//                 constructions (Figure 4 itself: universal2/paper_universal)
 //   objects/    — counter, grow-set, max-register, Lamport clock,
 //                 type-optimized FastCounter, pseudo read-modify-write
 //   lincheck/   — history recording and a Wing–Gong linearizability checker
-//   rt/         — real-thread (std::atomic) runtime: SWMR registers, the
-//                 same scan/snapshot/agreement algorithms, thread harness
+//   api/        — the register-backend concept: every algorithm is written
+//                 once and instantiated as XxxSim (simulator) and
+//                 rt::XxxRT (real threads)
+//   rt/         — real-thread (std::atomic) runtime: bounded SWMR/CAS
+//                 registers, version reclamation, thread harness
 #pragma once
 
 #include "agreement/adversary.hpp"
@@ -32,7 +36,6 @@
 #include "agreement/midpoint_agreement.hpp"
 #include "algebra/check.hpp"
 #include "algebra/spec.hpp"
-#include "core/universal.hpp"
 #include "graph/digraph.hpp"
 #include "graph/lingraph.hpp"
 #include "lattice/lattice.hpp"
@@ -55,10 +58,6 @@
 #include "obs/rt_probe.hpp"
 #include "obs/span.hpp"
 #include "obs/trace.hpp"
-#include "rt/afek_snapshot_rt.hpp"
-#include "rt/approx_agreement_rt.hpp"
-#include "rt/double_collect_rt.hpp"
-#include "rt/fast_counter_rt.hpp"
 #include "rt/register.hpp"
 #include "rt/thread_harness.hpp"
 #include "sim/explore.hpp"

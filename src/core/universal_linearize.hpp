@@ -1,11 +1,10 @@
 // Shared linearization logic of the universal construction (Figure 3/4).
 //
-// Extracted from core/universal.hpp so both the sim-only
-// UniversalObjectSim and the backend-generic universal2::PaperUniversal
-// (the apples-to-apples baseline in bench_e6) run the identical algorithm:
-// discover the entries reachable from a snapshot view, build the
-// precedence DAG from the direct `preceding` pointers, and linearize it
-// with Definition 14 dominance as the tie-break.
+// Used by universal2::PaperUniversal (universal2/paper_universal.hpp, the
+// one Figure 4 implementation, behind UniversalObjectSim and
+// PaperUniversalRT): discover the entries reachable from a snapshot view,
+// build the precedence DAG from the direct `preceding` pointers, and
+// linearize it with Definition 14 dominance as the tie-break.
 //
 // Entry is any type exposing `pid`, `seq`, `inv` (an S::Invocation) and
 // `preceding` (a vector of const Entry*). The canonical node order is

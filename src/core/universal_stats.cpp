@@ -1,5 +1,5 @@
-#include "core/universal.hpp"
 #include "objects/specs.hpp"
+#include "universal2/paper_universal.hpp"
 
 namespace apram {
 

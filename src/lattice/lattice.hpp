@@ -21,6 +21,7 @@
 #include <concepts>
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <set>
 #include <utility>
 #include <vector>
@@ -133,6 +134,16 @@ struct TaggedVectorLattice {
     Value out(n);
     out[pid] = Cell{tag, std::move(value)};
     return out;
+  }
+
+  // The snapshot view of `v` over n slots: cell i's value, or nullopt where
+  // cell i is ⊥ (or beyond v's width).
+  static std::vector<std::optional<T>> unpack(const Value& v, std::size_t n) {
+    std::vector<std::optional<T>> view(n);
+    for (std::size_t i = 0; i < v.size() && i < n; ++i) {
+      if (v[i].tag != 0) view[i] = v[i].value;
+    }
+    return view;
   }
 };
 

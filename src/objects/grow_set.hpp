@@ -4,8 +4,8 @@
 
 #include <string>
 
-#include "core/universal.hpp"
 #include "objects/specs.hpp"
+#include "universal2/paper_universal.hpp"
 
 namespace apram {
 

@@ -18,8 +18,8 @@
 #include <string>
 #include <utility>
 
-#include "core/universal.hpp"
 #include "objects/specs.hpp"
+#include "universal2/paper_universal.hpp"
 
 namespace apram {
 

@@ -40,8 +40,8 @@
 // REGISTER accesses because a node's whole chain lives in one register; the
 // paper pays the extra log factor to keep node values word-sized, the same
 // modelling convention as TaggedVectorLattice's O(n) register values).
-// Space is unbounded (the chain holds the full history), matching the
-// repo's paper-mode registers (-DAPRAM_RT_UNBOUNDED) honesty note.
+// Space is unbounded (the chain holds the full history), like the paper's
+// unbounded registers (rt::UnboundedSWMRRegister).
 #pragma once
 
 #include <algorithm>
@@ -275,12 +275,9 @@ class PolylogQueue {
 // rt convenience wrapper (int-pid call style; thread p calls only pid p's
 // entry points — the Local replay state is single-threaded per pid).
 
-class PolylogQueueRT {
+class PolylogQueueRT : public api::RtOwned<PolylogQueue<api::RtBackend>> {
  public:
-  explicit PolylogQueueRT(int num_procs)
-      : mem_(num_procs), impl_(mem_, num_procs) {}
-
-  int num_procs() const { return impl_.num_procs(); }
+  explicit PolylogQueueRT(int num_procs) : RtOwned(num_procs) {}
 
   void enqueue(int p, std::int64_t v) {
     impl_.enqueue(api::RtBackend::Ctx{p}, v).get();
@@ -289,28 +286,10 @@ class PolylogQueueRT {
     return impl_.dequeue(api::RtBackend::Ctx{p}).get();
   }
 
-  void attach_obs(obs::Registry& registry, const std::string& name,
-                  obs::Tracer* tracer = nullptr) {
-    mem_.attach_obs(registry, name, tracer);
-  }
-  void attach_injector(fault::RtInjector* injector) {
-    mem_.attach_injector(injector);
-  }
-  rt::reclaim::ReclaimStats reclaim_stats() const {
-    return mem_.reclaim_stats();
-  }
-  void export_reclaim_gauges(obs::Registry& registry,
-                             const std::string& name) const {
-    mem_.export_reclaim_gauges(registry, name);
-  }
   void export_contention_gauges(obs::Registry& registry,
                                 const std::string& prefix) const {
     impl_.export_contention_gauges(registry, prefix);
   }
-
- private:
-  api::RtBackend::Mem mem_;
-  PolylogQueue<api::RtBackend> impl_;
 };
 
 }  // namespace apram

@@ -23,7 +23,7 @@
 #include <string>
 #include <utility>
 
-#include "core/universal.hpp"
+#include "universal2/paper_universal.hpp"
 
 namespace apram {
 

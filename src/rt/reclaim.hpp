@@ -66,12 +66,14 @@
 
 namespace apram::rt::reclaim {
 
-// Quiescent-read snapshot of an arena's bookkeeping. Sums are exact once the
-// harness has joined its threads; while threads run they are monotone
-// approximations (same contract as obs counters).
+// Snapshot of an arena's bookkeeping. Every field is exact once the
+// harness has joined its threads. While threads run, each field is one
+// relaxed load: `live` is exact at that load's instant (it is one counter,
+// never a difference of two), the monotone counters are lower bounds, and
+// `recycled` (derived, below) is a clamped approximation.
 struct ReclaimStats {
   std::uint64_t allocated = 0;  // slots ever handed out (monotone)
-  std::uint64_t freed = 0;      // returns to a free list (retires + losers)
+  std::uint64_t live = 0;       // slots outside the free lists right now
   std::uint64_t retired = 0;    // published versions whose last holder left
   std::uint64_t recycled = 0;   // allocations served from a free list
   std::uint64_t acquire_contention = 0;  // publish-CAS retries under acquires
@@ -79,11 +81,11 @@ struct ReclaimStats {
   // Slots currently outside the free lists: the published version, versions
   // still held by readers, and slots a writer has allocated but not yet
   // published. Bounded by holders + writers + O(1), never by write count.
-  std::uint64_t live_versions() const { return allocated - freed; }
+  std::uint64_t live_versions() const { return live; }
 
   ReclaimStats& operator+=(const ReclaimStats& o) {
     allocated += o.allocated;
-    freed += o.freed;
+    live += o.live;
     retired += o.retired;
     recycled += o.recycled;
     acquire_contention += o.acquire_contention;
@@ -166,13 +168,12 @@ class VersionArena {
   // free list has a single consumer, which is what makes its pop ABA-safe.
   std::uint32_t alloc(int writer, T v) {
     std::uint32_t idx = pop_free(writer);
-    const bool reused = idx != kNilSlot;
-    if (!reused) idx = fresh_slot();
+    if (idx == kNilSlot) idx = fresh_slot();
     Slot& s = slot_at(idx);
     s.owner = static_cast<std::uint32_t>(writer);
     s.value.emplace(std::move(v));
     stats_.allocated.fetch_add(1, std::memory_order_relaxed);
-    if (reused) stats_.recycled.fetch_add(1, std::memory_order_relaxed);
+    stats_.live.fetch_add(1, std::memory_order_relaxed);
     return idx;
   }
 
@@ -212,12 +213,16 @@ class VersionArena {
 
   // ---- diagnostics -------------------------------------------------------
 
+  // recycled = allocated − fresh slots: exact at quiescence; clamped at 0
+  // while allocations are in flight (fresh_slot bumps next_fresh_ before
+  // alloc counts the allocation).
   ReclaimStats stats() const {
     ReclaimStats out;
+    out.live = stats_.live.load(std::memory_order_relaxed);
     out.allocated = stats_.allocated.load(std::memory_order_relaxed);
-    out.freed = stats_.freed.load(std::memory_order_relaxed);
+    const std::uint64_t fresh = next_fresh_.load(std::memory_order_relaxed);
+    out.recycled = out.allocated > fresh ? out.allocated - fresh : 0;
     out.retired = stats_.retired.load(std::memory_order_relaxed);
-    out.recycled = stats_.recycled.load(std::memory_order_relaxed);
     out.acquire_contention =
         stats_.acquire_contention.load(std::memory_order_relaxed);
     return out;
@@ -255,11 +260,12 @@ class VersionArena {
     std::atomic<std::uint32_t> head{kNilSlot};
   };
 
+  // Each alloc/free cycle does three RMWs here (allocated, live up, live
+  // down); recycled is derived from next_fresh_ instead of counted.
   struct alignas(64) Stats {
     std::atomic<std::uint64_t> allocated{0};
-    std::atomic<std::uint64_t> freed{0};
+    std::atomic<std::uint64_t> live{0};
     std::atomic<std::uint64_t> retired{0};
-    std::atomic<std::uint64_t> recycled{0};
     std::atomic<std::uint64_t> acquire_contention{0};
   };
 
@@ -332,7 +338,7 @@ class VersionArena {
       s.next.store(h, std::memory_order_relaxed);
     } while (!head.compare_exchange_weak(h, slot, std::memory_order_release,
                                          std::memory_order_relaxed));
-    stats_.freed.fetch_add(1, std::memory_order_relaxed);
+    stats_.live.fetch_sub(1, std::memory_order_relaxed);
   }
 
   // Single-consumer pop (only thread `writer` pops list `writer`): a CAS

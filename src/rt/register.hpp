@@ -13,11 +13,10 @@
 //     concurrent holders, never to write count. See rt/reclaim.hpp for the
 //     protocol and safety argument.
 //
-//   * Unbounded (Unbounded* classes; the APRAM_RT_UNBOUNDED build flips the
-//     default aliases to them): every write appends to a grow-only node
-//     store that is never freed before the register is destroyed — the
-//     paper's unbounded-register assumption, verbatim. Use it for exact
-//     paper-mode audits where reclamation itself must be out of the picture.
+//   * Unbounded (Unbounded* classes, named only directly): every write
+//     appends to a grow-only node store that is never freed before the
+//     register is destroyed — the paper's unbounded-register assumption,
+//     verbatim. bench_micro_rt prices the bounded registers against them.
 //
 // Reads return BY VALUE in both flavours (the copy happens while the version
 // is held; bounded readers then release it). Both read paths are wait-free:
@@ -254,7 +253,7 @@ class UnboundedSWMRRegister {
   // Nothing is recycled here; live == allocated by construction.
   reclaim::ReclaimStats reclaim_stats() const {
     reclaim::ReclaimStats s;
-    s.allocated = nodes_.size();
+    s.allocated = s.live = nodes_.size();
     return s;
   }
 
@@ -338,7 +337,7 @@ class UnboundedCASValueRegister {
 
   reclaim::ReclaimStats reclaim_stats() const {
     reclaim::ReclaimStats s;
-    s.allocated = versions();
+    s.allocated = s.live = versions();
     return s;
   }
 
@@ -364,23 +363,15 @@ class UnboundedCASValueRegister {
 };
 
 // ---------------------------------------------------------------------------
-// Default aliases: bounded-memory unless the build opts into exact
-// paper-mode with -DAPRAM_RT_UNBOUNDED (cmake -DAPRAM_RT_UNBOUNDED=ON).
-// Every rt algorithm and the api::RtBackend go through these names, so the
-// whole stack switches together with zero call-site changes.
+// The register names every rt algorithm and the api::RtBackend use: the
+// bounded-memory registers. The Unbounded* classes are only ever named
+// directly (paper-mode comparisons in bench_micro_rt and rt_test).
 // ---------------------------------------------------------------------------
 
-#ifdef APRAM_RT_UNBOUNDED
-template <class T>
-using SWMRRegister = UnboundedSWMRRegister<T>;
-template <class T>
-using CASValueRegister = UnboundedCASValueRegister<T>;
-#else
 template <class T>
 using SWMRRegister = BoundedSWMRRegister<T>;
 template <class T>
 using CASValueRegister = BoundedCASValueRegister<T>;
-#endif
 
 // Multi-writer register with compare-and-swap — the building block for rt
 // structures that go beyond the paper's read/write base model (and the

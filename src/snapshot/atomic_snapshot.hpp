@@ -14,11 +14,16 @@
 //
 // Scans are pairwise comparable (Lemma 32), which is what makes the returned
 // views linearizable as instantaneous snapshots (Theorem 33).
+//
+// Written once over the register-backend concept; AtomicSnapshotSim and
+// rt::AtomicSnapshotRT below are its two instantiations.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "snapshot/lattice_scan.hpp"
@@ -29,69 +34,106 @@ namespace apram {
 template <class T>
 using SnapshotView = std::vector<std::optional<T>>;
 
-template <class T>
-class AtomicSnapshotSim {
+namespace snapshot {
+
+template <class B, class T>
+class AtomicSnapshot {
  public:
   using Lattice = TaggedVectorLattice<T>;
   using LatticeValue = typename Lattice::Value;
+  using Ctx = typename B::Ctx;
+  template <class U>
+  using Coro = typename B::template Coro<U>;
 
-  AtomicSnapshotSim(sim::World& world, int num_procs,
-                    const std::string& name = "snap",
-                    ScanMode mode = ScanMode::kOptimized)
+  AtomicSnapshot(typename B::Mem& mem, int num_procs,
+                 ScanMode mode = ScanMode::kOptimized)
       : n_(num_procs),
-        scan_(world, num_procs, name, mode),
-        next_tag_(static_cast<std::size_t>(num_procs), 1) {}
+        scan_(mem, num_procs, mode),
+        next_tag_(static_cast<std::size_t>(num_procs)) {
+    for (auto& t : next_tag_) t = std::make_unique<Tag>();
+  }
 
   int num_procs() const { return n_; }
 
-  // Installs `v` as P's current value. One shared-memory write.
-  sim::SimCoro<void> update(sim::Context ctx, T v) {
-    const auto pid = static_cast<std::size_t>(ctx.pid());
-    const std::uint64_t tag = next_tag_[pid]++;
-    co_await scan_.post(ctx, Lattice::singleton(static_cast<std::size_t>(n_),
-                                                pid, tag, std::move(v)));
+  // Installs `v` as P's current value. One shared-memory write. (A plain
+  // function handing back post()'s coroutine: no frame of its own.)
+  Coro<void> update(Ctx ctx, T v) {
+    return scan_.post(ctx, singleton(ctx.pid(), std::move(v)));
   }
 
   // Returns an instantaneous view of all slots.
-  sim::SimCoro<SnapshotView<T>> scan(sim::Context ctx) {
+  Coro<SnapshotView<T>> scan(Ctx ctx) {
     LatticeValue joined = co_await scan_.read_max(ctx);
-    co_return unpack(joined);
+    co_return Lattice::unpack(joined, static_cast<std::size_t>(n_));
   }
 
   // Scan(P, v) proper: install `v` and return a view that includes it.
   // Costs the same as scan() (the update rides along for free).
-  sim::SimCoro<SnapshotView<T>> update_and_scan(sim::Context ctx, T v) {
-    const auto pid = static_cast<std::size_t>(ctx.pid());
-    const std::uint64_t tag = next_tag_[pid]++;
-    LatticeValue joined = co_await scan_.scan(
-        ctx, Lattice::singleton(static_cast<std::size_t>(n_), pid, tag,
-                                std::move(v)));
-    co_return unpack(joined);
+  Coro<SnapshotView<T>> update_and_scan(Ctx ctx, T v) {
+    LatticeValue joined =
+        co_await scan_.scan(ctx, singleton(ctx.pid(), std::move(v)));
+    co_return Lattice::unpack(joined, static_cast<std::size_t>(n_));
   }
 
   // The raw lattice view (tags included) — used by tests checking Lemma 32
-  // comparability and by the universal construction's precedence logic.
-  sim::SimCoro<LatticeValue> scan_tagged(sim::Context ctx) {
-    LatticeValue joined = co_await scan_.read_max(ctx);
-    co_return joined;
-  }
+  // comparability.
+  Coro<LatticeValue> scan_tagged(Ctx ctx) { return scan_.read_max(ctx); }
 
-  LatticeScanSim<Lattice>& lattice_scan() { return scan_; }
-  const LatticeScanSim<Lattice>& lattice_scan() const { return scan_; }
+  LatticeScan<B, Lattice>& lattice_scan() { return scan_; }
+  const LatticeScan<B, Lattice>& lattice_scan() const { return scan_; }
 
  private:
-  SnapshotView<T> unpack(const LatticeValue& joined) const {
-    SnapshotView<T> view(static_cast<std::size_t>(n_));
-    for (std::size_t i = 0;
-         i < joined.size() && i < static_cast<std::size_t>(n_); ++i) {
-      if (joined[i].tag != 0) view[i] = joined[i].value;
-    }
-    return view;
+  // Per-process tag counter, each on its own cache lines.
+  struct alignas(64) Tag {
+    std::uint64_t value = 0;
+  };
+
+  // P's next tagged singleton; only process P touches next_tag_[P].
+  LatticeValue singleton(int p, T v) {
+    const std::uint64_t tag = ++next_tag_[static_cast<std::size_t>(p)]->value;
+    return Lattice::singleton(static_cast<std::size_t>(n_),
+                              static_cast<std::size_t>(p), tag, std::move(v));
   }
 
   int n_;
-  LatticeScanSim<Lattice> scan_;
-  std::vector<std::uint64_t> next_tag_;
+  LatticeScan<B, Lattice> scan_;
+  std::vector<std::unique_ptr<Tag>> next_tag_;
 };
+
+}  // namespace snapshot
+
+template <class T>
+class AtomicSnapshotSim
+    : public api::SimOwned<snapshot::AtomicSnapshot<api::SimBackend, T>> {
+ public:
+  AtomicSnapshotSim(sim::World& world, int num_procs,
+                    const std::string& name = "snap",
+                    ScanMode mode = ScanMode::kOptimized)
+      : AtomicSnapshotSim::SimOwned(world, name, num_procs, mode) {}
+};
+
+namespace rt {
+
+template <class T>
+class AtomicSnapshotRT
+    : public api::RtOwned<snapshot::AtomicSnapshot<api::RtBackend, T>> {
+ public:
+  explicit AtomicSnapshotRT(int num_procs,
+                            ScanMode mode = ScanMode::kOptimized)
+      : AtomicSnapshotRT::RtOwned(num_procs, mode) {}
+
+  void update(int p, T v) {
+    this->impl_.update(api::RtBackend::Ctx{p}, std::move(v)).get();
+  }
+  SnapshotView<T> scan(int p) {
+    return this->impl_.scan(api::RtBackend::Ctx{p}).get();
+  }
+  SnapshotView<T> update_and_scan(int p, T v) {
+    return this->impl_.update_and_scan(api::RtBackend::Ctx{p}, std::move(v))
+        .get();
+  }
+};
+
+}  // namespace rt
 
 }  // namespace apram

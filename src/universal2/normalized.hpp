@@ -1,6 +1,6 @@
 // apram::universal2 — the normalized-representation concept.
 //
-// The paper's universal construction (core/universal.hpp) charges every
+// The paper's universal construction (paper_universal.hpp) charges every
 // operation the full O(n²) scan-and-agree overhead even with no contention.
 // universal2 is the modern alternative (Timnat–Petrank, "A Practical
 // Wait-Free Simulation for Lock-Free Data Structures", PPoPP'14): the

@@ -1,19 +1,32 @@
-// apram::universal2 — the paper's universal construction (Figure 4) ported
-// to the register-backend concept.
-//
-// Same algorithm as core/universal.hpp's UniversalObjectSim (shared
-// linearization logic, core/universal_linearize.hpp), but written over
-// BackendFor so it also runs on real threads — the apples-to-apples
+// The paper's universal construction for commute/overwrite objects
+// (Figure 4, §5.4), written over the register-backend concept so it runs in
+// the simulator (UniversalObjectSim, below) and on real threads
+// (universal2::PaperUniversalRT in universal2/rt.hpp) — the apples-to-apples
 // baseline bench_e6 compares WaitFreeSim against on sim AND rt.
+//
+// Representation: a shared precedence graph of *entries*, one per completed
+// operation. An entry records the invocation, the response, and n pointers
+// to the latest entry of every process at the time the operation started
+// (its snapshot *view*). The graph is rooted in an anchor array (the atomic
+// snapshot object of §6): root[P] points to P's most recent entry.
+//
+// execute(P, inv):
+//   Step 1 — take an atomic snapshot of the anchor array (one ReadMax scan,
+//            §6.2: n²−1 reads + n+1 writes); collect the entries reachable
+//            from it (the precedence graph); build its linearization graph
+//            (Figure 3, core/universal_linearize.hpp); topologically sort it;
+//            run the sequential specification over that linearization to
+//            obtain the state, and from it the response to `inv`.
+//   Step 2 — create the entry and publish it with a single anchor write
+//            (post()).
 //
 // Structure: the anchor array is the generic LatticeScan at
 // TaggedVectorLattice<const Entry*>; each process owns an entry arena
-// (std::deque — stable addresses) and a tag counter. execute() takes one
-// ReadMax scan (§6.2: n²−1 reads + n+1 writes), linearizes the reachable
-// precedence graph, replays the sequential spec, then publishes the new
-// entry with one post() write. On rt the publishing register write is the
-// release barrier that makes the (immutable) entry contents visible to
-// every later scanner.
+// (std::deque — stable addresses) and a tag counter. On rt the publishing
+// register write is the release barrier that makes the (immutable) entry
+// contents visible to every later scanner. Traversal of the published
+// entries is local bookkeeping; the paper accounts it as construction
+// overhead, not as shared-memory steps.
 //
 // Per-op cost grows with the history (the linearization walks every
 // reachable entry) — exactly the overhead §5.4 concedes and universal2's
@@ -30,6 +43,7 @@
 
 #include "algebra/spec.hpp"
 #include "api/backend.hpp"
+#include "api/sim_backend.hpp"
 #include "core/universal_linearize.hpp"
 #include "obs/span.hpp"
 #include "snapshot/lattice_scan.hpp"
@@ -77,7 +91,8 @@ class PaperUniversal {
     // replay the sequential spec -> response.
     ctx.op_phase(obs::Phase::kCollect);
     LatticeValue joined = co_await scan_.read_max(ctx);
-    std::vector<std::optional<const Entry*>> view = unpack(joined);
+    const std::vector<std::optional<const Entry*>> view =
+        Lattice::unpack(joined, static_cast<std::size_t>(n_));
     const std::vector<const Entry*> lin = linearize_entries<S, Entry>(view);
     std::vector<typename S::Invocation> invs;
     invs.reserve(lin.size());
@@ -112,6 +127,9 @@ class PaperUniversal {
     return per_proc_[static_cast<std::size_t>(p)]->arena.size();
   }
 
+  // Test/debug access to the anchor array's scan matrix.
+  const snapshot::LatticeScan<B, Lattice>& anchor() const { return scan_; }
+
  private:
   struct alignas(64) PerProc {
     std::deque<Entry> arena;  // stable addresses; this process is the writer
@@ -119,20 +137,40 @@ class PaperUniversal {
     std::uint64_t next_tag = 0;
   };
 
-  std::vector<std::optional<const Entry*>> unpack(
-      const LatticeValue& joined) const {
-    std::vector<std::optional<const Entry*>> view(
-        static_cast<std::size_t>(n_));
-    for (std::size_t i = 0;
-         i < joined.size() && i < static_cast<std::size_t>(n_); ++i) {
-      if (joined[i].tag != 0) view[i] = joined[i].value;
-    }
-    return view;
-  }
-
   int n_;
   snapshot::LatticeScan<B, Lattice> scan_;
   std::vector<std::unique_ptr<PerProc>> per_proc_;
 };
 
 }  // namespace apram::universal2
+
+namespace apram {
+
+// Simulator instantiation under the historical name: registers appear as
+// "<name>.root.scan[p][i]".
+template <SequentialSpec S>
+class UniversalObjectSim
+    : public api::SimOwned<universal2::PaperUniversal<api::SimBackend, S>> {
+ public:
+  using Base = universal2::PaperUniversal<api::SimBackend, S>;
+  using Entry = typename Base::Entry;
+
+  UniversalObjectSim(sim::World& world, int num_procs, const std::string& name,
+                     ScanMode mode = ScanMode::kOptimized)
+      : UniversalObjectSim::SimOwned(world, name + ".root", num_procs, mode) {}
+
+  // The linearized history of the entries reachable from the *current*
+  // anchor state: peeks the level-0 registers, which hold every process's
+  // latest post (no simulation steps; test-only).
+  std::vector<const Entry*> current_history() const {
+    using L = typename Base::Lattice;
+    typename L::Value joined = L::bottom();
+    for (int q = 0; q < this->num_procs(); ++q) {
+      joined = L::join(joined, this->anchor().register_at(q, 0).peek());
+    }
+    return linearize_entries<S, Entry>(
+        L::unpack(joined, static_cast<std::size_t>(this->num_procs())));
+  }
+};
+
+}  // namespace apram

@@ -1,11 +1,11 @@
 // apram::universal2 — real-thread convenience wrappers.
 //
-// Same shape as the rt wrappers in snapshot/lattice_scan.hpp: each owns an
-// api::RtBackend::Mem plus the backend-templated object, exposes the old
-// int-pid call style (thread p may call only the p-indexed entry points),
-// and forwards the Mem's observability / fault-injection / reclamation
-// attach points. New code that composes objects should hold the Mem and
-// the templated classes directly.
+// Same shape as every rt wrapper: each derives from api::RtOwned (the Mem,
+// the backend-templated object, and the Mem's observability /
+// fault-injection / reclamation attach points) and adds the old int-pid
+// call style (thread p may call only the p-indexed entry points). New code
+// that composes objects should hold the Mem and the templated classes
+// directly.
 #pragma once
 
 #include <cstdint>
@@ -19,130 +19,69 @@
 namespace apram::universal2 {
 
 // Wait-free counter (normalized fast/slow path) on real threads.
-class Counter2RT {
+class Counter2RT : public api::RtOwned<Counter2<api::RtBackend>> {
  public:
   using Config = Counter2<api::RtBackend>::Config;
 
   explicit Counter2RT(int num_procs, Config cfg = {})
-      : mem_(num_procs), counter_(mem_, num_procs, "u2c", cfg) {}
-
-  int num_procs() const { return counter_.sim().num_procs(); }
+      : RtOwned(num_procs, "u2c", cfg) {}
 
   std::int64_t inc(int p, std::int64_t by = 1) {
-    return counter_.inc(api::RtBackend::Ctx{p}, by).get();
+    return impl_.inc(api::RtBackend::Ctx{p}, by).get();
   }
   std::int64_t dec(int p, std::int64_t by = 1) {
-    return counter_.dec(api::RtBackend::Ctx{p}, by).get();
+    return impl_.dec(api::RtBackend::Ctx{p}, by).get();
   }
   std::int64_t reset(int p, std::int64_t to = 0) {
-    return counter_.reset(api::RtBackend::Ctx{p}, to).get();
+    return impl_.reset(api::RtBackend::Ctx{p}, to).get();
   }
-  std::int64_t read(int p) {
-    return counter_.read(api::RtBackend::Ctx{p}).get();
-  }
+  std::int64_t read(int p) { return impl_.read(api::RtBackend::Ctx{p}).get(); }
 
   std::uint64_t slow_path_entries(int p) const {
-    return counter_.sim().slow_path_entries(p);
+    return impl_.sim().slow_path_entries(p);
   }
-
-  void attach_obs(obs::Registry& registry, const std::string& name,
-                  obs::Tracer* tracer = nullptr) {
-    mem_.attach_obs(registry, name, tracer);
-  }
-  void attach_injector(fault::RtInjector* injector) {
-    mem_.attach_injector(injector);
-  }
-  rt::reclaim::ReclaimStats reclaim_stats() const {
-    return mem_.reclaim_stats();
-  }
-  void export_reclaim_gauges(obs::Registry& registry,
-                             const std::string& name) const {
-    mem_.export_reclaim_gauges(registry, name);
-  }
-
-  Counter2<api::RtBackend>& object() { return counter_; }
-
- private:
-  api::RtBackend::Mem mem_;
-  Counter2<api::RtBackend> counter_;
 };
 
 // Wait-free sorted linked-list set on real threads.
-class SortedSetRT {
+class SortedSetRT : public api::RtOwned<SortedSet<api::RtBackend>> {
  public:
   using Config = SortedSet<api::RtBackend>::Config;
 
   SortedSetRT(int num_procs, int capacity_per_proc, Config cfg = {})
-      : mem_(num_procs),
-        set_(mem_, num_procs, capacity_per_proc, "u2set", cfg) {}
-
-  int num_procs() const { return set_.sim().num_procs(); }
+      : RtOwned(num_procs, capacity_per_proc, "u2set", cfg) {}
 
   std::int64_t insert(int p, std::int64_t key) {
-    return set_.insert(api::RtBackend::Ctx{p}, key).get();
+    return impl_.insert(api::RtBackend::Ctx{p}, key).get();
   }
   std::int64_t remove(int p, std::int64_t key) {
-    return set_.remove(api::RtBackend::Ctx{p}, key).get();
+    return impl_.remove(api::RtBackend::Ctx{p}, key).get();
   }
   std::int64_t contains(int p, std::int64_t key) {
-    return set_.contains(api::RtBackend::Ctx{p}, key).get();
+    return impl_.contains(api::RtBackend::Ctx{p}, key).get();
   }
 
   // Quiescent membership walk (call after joins / outside the run).
   std::vector<std::int64_t> snapshot_keys(int p) {
-    return set_.rep().snapshot_keys(api::RtBackend::Ctx{p}).get();
+    return impl_.rep().snapshot_keys(api::RtBackend::Ctx{p}).get();
   }
 
   std::uint64_t slow_path_entries(int p) const {
-    return set_.sim().slow_path_entries(p);
+    return impl_.sim().slow_path_entries(p);
   }
-
-  void attach_obs(obs::Registry& registry, const std::string& name,
-                  obs::Tracer* tracer = nullptr) {
-    mem_.attach_obs(registry, name, tracer);
-  }
-  void attach_injector(fault::RtInjector* injector) {
-    mem_.attach_injector(injector);
-  }
-  rt::reclaim::ReclaimStats reclaim_stats() const {
-    return mem_.reclaim_stats();
-  }
-  void export_reclaim_gauges(obs::Registry& registry,
-                             const std::string& name) const {
-    mem_.export_reclaim_gauges(registry, name);
-  }
-
-  SortedSet<api::RtBackend>& object() { return set_; }
-
- private:
-  api::RtBackend::Mem mem_;
-  SortedSet<api::RtBackend> set_;
 };
 
 // The paper's universal construction on real threads (bench baseline).
 template <SequentialSpec S>
-class PaperUniversalRT {
+class PaperUniversalRT
+    : public api::RtOwned<PaperUniversal<api::RtBackend, S>> {
  public:
   explicit PaperUniversalRT(int num_procs,
                             ScanMode mode = ScanMode::kOptimized)
-      : mem_(num_procs), obj_(mem_, num_procs, mode) {}
-
-  int num_procs() const { return obj_.num_procs(); }
+      : PaperUniversalRT::RtOwned(num_procs, mode) {}
 
   typename S::Response execute(int p, typename S::Invocation inv) {
-    return obj_.execute(api::RtBackend::Ctx{p}, std::move(inv)).get();
+    return this->impl_.execute(api::RtBackend::Ctx{p}, std::move(inv)).get();
   }
-
-  void attach_obs(obs::Registry& registry, const std::string& name,
-                  obs::Tracer* tracer = nullptr) {
-    mem_.attach_obs(registry, name, tracer);
-  }
-
-  PaperUniversal<api::RtBackend, S>& object() { return obj_; }
-
- private:
-  api::RtBackend::Mem mem_;
-  PaperUniversal<api::RtBackend, S> obj_;
 };
 
 }  // namespace apram::universal2

@@ -26,10 +26,12 @@
 // artifact and asserts the RSS ceiling from it.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "fault/rt_inject.hpp"
@@ -157,7 +159,6 @@ TEST(ReclaimSoak, SwmrChurnKeepsLiveVersionsAndRssFlat) {
   EXPECT_EQ(s.allocated, 1u + kWrites * kEpochs);
 
   const std::uint64_t rss_final = vm_rss_kb();
-#ifndef APRAM_RT_UNBOUNDED
   // Live versions ≤ readers + writers + O(1): each reader holds ≤ 1 version
   // at a time, the writer ≤ 1 in-flight, plus the published one and slack
   // for monotone-approximate concurrent sampling.
@@ -174,12 +175,6 @@ TEST(ReclaimSoak, SwmrChurnKeepsLiveVersionsAndRssFlat) {
     EXPECT_LE(rss_final, rss_after_first_epoch + 4096)
         << "RSS grew across identical churn epochs — per-write leak?";
   }
-#else
-  // Paper mode retains every version by design: the same churn that the
-  // bounded arena absorbs shows up one-to-one in the live count.
-  EXPECT_EQ(s.live_versions(), s.allocated);
-  EXPECT_EQ(s.recycled, 0u);
-#endif
 
   soak_registry().gauge("soak.swmr.peak_live_versions")
       .set(static_cast<std::int64_t>(peak.max.load()));
@@ -189,6 +184,53 @@ TEST(ReclaimSoak, SwmrChurnKeepsLiveVersionsAndRssFlat) {
       .set(static_cast<std::int64_t>(rss_after_first_epoch));
   soak_registry().gauge("soak.swmr.rss_final_kb")
       .set(static_cast<std::int64_t>(rss_final));
+}
+
+// Oversubscribed SWMR churn: one writer and 4×nproc readers, so readers are
+// preempted mid-read (holding a version) and samplers mid-sample on any
+// box, a 1-core runner and a many-core one alike. live_versions() is one
+// load of one counter, so the sampled peak is a true instantaneous count:
+// it must neither wrap nor exceed readers + writers + O(1).
+TEST(ReclaimSoak, SwmrChurnOversubscribedKeepsLiveVersionsBounded) {
+  const int nproc =
+      std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+  const int readers = std::min(4 * nproc, obs::kMaxShards - 1);
+  const int threads = readers + 1;
+  constexpr std::uint64_t kWrites = 4000;
+  constexpr std::size_t kPayloadWords = 128;
+
+  SWMRRegister<std::vector<std::uint64_t>> reg(
+      std::vector<std::uint64_t>(kPayloadWords, 0));
+  LiveWatermark peak;
+  std::atomic<bool> done{false};
+  parallel_run(threads, [&](int pid) {
+    if (pid == 0) {
+      for (std::uint64_t i = 1; i <= kWrites; ++i) {
+        reg.write(std::vector<std::uint64_t>(kPayloadWords, i));
+      }
+      done.store(true, std::memory_order_release);
+      return;
+    }
+    std::uint64_t last = 0;
+    while (!done.load(std::memory_order_acquire)) {
+      const auto v = reg.read();
+      ASSERT_EQ(v.front(), v.back());
+      ASSERT_GE(v.front(), last);
+      last = v.front();
+      peak.sample(reg.reclaim_stats().live_versions());
+    }
+  });
+
+  const auto s = reg.reclaim_stats();
+  EXPECT_EQ(s.allocated, 1u + kWrites);
+  EXPECT_LE(peak.max.load(), static_cast<std::uint64_t>(threads) + 4)
+      << "readers=" << readers;
+  EXPECT_LE(s.live_versions(), 2u);
+  EXPECT_GE(s.recycled, s.allocated - 32 - static_cast<std::uint64_t>(readers));
+
+  soak_registry().gauge("soak.swmr_oversub.peak_live_versions")
+      .set(static_cast<std::int64_t>(peak.max.load()));
+  soak_registry().gauge("soak.swmr_oversub.readers").set(readers);
 }
 
 // ---------------------------------------------------------------------------
@@ -237,17 +279,12 @@ TEST(ReclaimSoak, CasChurnCleansUpLosersAndConserves) {
   EXPECT_GE(total_wins, kAttemptsPerThread);
 
   const auto s = reg.reclaim_stats();
-#ifndef APRAM_RT_UNBOUNDED
   // Every attempt allocated at most one slot; every loser's slot and every
   // superseded version must be back on a free list at quiescence. A CASer
   // can hold its acquired version AND a prepared slot simultaneously, hence
   // the 2× in the in-flight bound.
   EXPECT_LE(s.live_versions(), 2u);
   EXPECT_LE(peak.max.load(), 2u * kThreads + 4);
-#else
-  EXPECT_EQ(s.live_versions(), s.allocated);  // grow-only by design
-  EXPECT_EQ(s.recycled, 0u);
-#endif
 
   soak_registry().gauge("soak.cas.peak_live_versions")
       .set(static_cast<std::int64_t>(peak.max.load()));
@@ -280,16 +317,11 @@ TEST(ReclaimSoak, TreeSnapshotChurnStaysBounded) {
   });
 
   const auto s = snap.reclaim_stats();
-#ifndef APRAM_RT_UNBOUNDED
   // Quiescent: one published version per register plus nothing else. The
   // tree has O(kThreads) registers; write count is ~100× larger, so this
   // bound genuinely separates bounded from unbounded behaviour.
   EXPECT_LE(s.live_versions(), 4u * kThreads + 8);
   EXPECT_GE(s.recycled + 64, s.allocated - s.live_versions());
-#else
-  EXPECT_EQ(s.live_versions(), s.allocated);  // grow-only by design
-  EXPECT_EQ(s.recycled, 0u);
-#endif
 
   snap.export_reclaim_gauges(soak_registry(), "soak_tree");
 }
@@ -343,14 +375,12 @@ TEST(ReclaimSoak, StalledReaderPinsItsVersionAcrossChurn) {
   EXPECT_TRUE(victim_read_intact.load(std::memory_order_acquire));
   EXPECT_EQ(reg.read().front(), 1 + kChurnWrites);
 
-#ifndef APRAM_RT_UNBOUNDED
   // While pinned: the held version + the published one + slack. The pin
   // must NOT stop recycling of the churned versions.
   EXPECT_LE(live_during_stall, 4u);
   EXPECT_GE(recycled_during_stall, kChurnWrites - 4);
   // Quiescent: the victim released; only the published version lives.
   EXPECT_LE(reg.reclaim_stats().live_versions(), 2u);
-#endif
 
   soak_registry().gauge("soak.stall.live_during_stall")
       .set(static_cast<std::int64_t>(live_during_stall));

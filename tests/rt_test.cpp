@@ -12,16 +12,17 @@
 #include <set>
 #include <vector>
 
+#include "agreement/approx_agreement.hpp"
 #include "agreement/approx_spec.hpp"
+#include "objects/fast_counter.hpp"
 #include "obs/metrics.hpp"
-#include "rt/approx_agreement_rt.hpp"
-#include "rt/double_collect_rt.hpp"
-#include "rt/fast_counter_rt.hpp"
 #include "rt/reclaim.hpp"
-#include "snapshot/lattice_scan.hpp"
 #include "rt/register.hpp"
 #include "rt/thread_harness.hpp"
+#include "snapshot/baselines/double_collect.hpp"
 #include "snapshot/baselines/mutex_snapshot.hpp"
+#include "snapshot/atomic_snapshot.hpp"
+#include "snapshot/lattice_scan.hpp"
 
 namespace apram::rt {
 namespace {
@@ -99,11 +100,9 @@ TEST(SWMRRegister, MemoryStaysBoundedAcrossManyWrites) {
   for (int i = 1; i <= 1000; ++i) reg.write(std::vector<int>(8, i));
   EXPECT_EQ(reg.read()[0], 1000);
   EXPECT_EQ(reg.versions(), 1001u);
-#ifndef APRAM_RT_UNBOUNDED
   const auto s = reg.reclaim_stats();
   EXPECT_LE(s.live_versions(), 2u);  // memory ∝ holders, not writes
   EXPECT_GE(s.recycled, 990u);
-#endif
 }
 
 TEST(CASValueRegister, FailedValueCompareAllocatesNothing) {
@@ -120,14 +119,11 @@ TEST(CASValueRegister, SuccessfulSwapsRecycleSupersededVersions) {
     EXPECT_TRUE(reg.compare_exchange(0, i - 1, i));
   }
   EXPECT_EQ(reg.read(), 200);
-#ifndef APRAM_RT_UNBOUNDED
   EXPECT_LE(reg.reclaim_stats().live_versions(), 2u);
-#endif
 }
 
 TEST(UnboundedRegisters, PaperModeKeepsEveryVersion) {
-  // The escape-hatch classes are always compiled (APRAM_RT_UNBOUNDED only
-  // flips which ones the default aliases name).
+  // The paper-mode classes (grow-only, every version kept) used directly.
   UnboundedSWMRRegister<int> reg(0);
   for (int i = 1; i <= 10; ++i) reg.write(i);
   EXPECT_EQ(reg.read(), 10);

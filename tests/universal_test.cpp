@@ -9,14 +9,14 @@
 #include <cmath>
 #include <vector>
 
-#include "core/universal.hpp"
-#include "obs/metrics.hpp"
 #include "objects/counter.hpp"
 #include "objects/fast_counter.hpp"
 #include "objects/grow_set.hpp"
 #include "objects/logical_clock.hpp"
+#include "obs/metrics.hpp"
 #include "sim/scheduler.hpp"
 #include "snapshot/scan_stats.hpp"
+#include "universal2/paper_universal.hpp"
 
 namespace apram {
 namespace {
