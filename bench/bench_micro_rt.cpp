@@ -1,5 +1,6 @@
 // Micro-benchmarks (google-benchmark) for the real-thread runtime: register
-// read/write latency, snapshot scan/update latency vs n, counter ops.
+// read/write/CAS latency (bounded, unbounded and word registers), snapshot
+// scan/update latency vs n, counter ops.
 // Single-threaded latency numbers — the multi-thread throughput shapes live
 // in bench_e5_snapshot_compare.
 #include <benchmark/benchmark.h>
@@ -55,6 +56,18 @@ void BM_RegisterReadUnbounded(benchmark::State& state) {
 }
 BENCHMARK(BM_RegisterReadUnbounded);
 
+// Word registers: the std::atomic register api::RtBackend selects for
+// integral values of at most 8 bytes (BM_*Word rows sit beside the bounded
+// and unbounded rows of the same access, so the arena's price reads off
+// directly).
+void BM_RegisterReadWord(benchmark::State& state) {
+  CASRegister<std::int64_t> reg(42);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(reg.read());
+  }
+}
+BENCHMARK(BM_RegisterReadWord);
+
 // Write-path comparison: arena alloc(+recycle)/publish/transfer against the
 // grow-only deque push_back + release store. The unbounded variant's memory
 // grows with the iteration count (this is exactly the leak the arena
@@ -67,6 +80,15 @@ void BM_RegisterWriteUnbounded(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RegisterWriteUnbounded);
+
+void BM_RegisterWriteWord(benchmark::State& state) {
+  CASRegister<std::int64_t> reg(0);
+  std::int64_t i = 0;
+  for (auto _ : state) {
+    reg.write(++i);
+  }
+}
+BENCHMARK(BM_RegisterWriteWord);
 
 void BM_CasRegisterSwapBounded(benchmark::State& state) {
   BoundedCASValueRegister<std::int64_t> reg(1, 0);
@@ -87,6 +109,17 @@ void BM_CasRegisterSwapUnbounded(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CasRegisterSwapUnbounded);
+
+void BM_CasRegisterSwapWord(benchmark::State& state) {
+  CASRegister<std::int64_t> reg(0);
+  std::int64_t i = 0;
+  for (auto _ : state) {
+    std::int64_t expected = i;
+    benchmark::DoNotOptimize(reg.compare_exchange(expected, i + 1));
+    ++i;
+  }
+}
+BENCHMARK(BM_CasRegisterSwapWord);
 
 // Same register paths with an obs::RtProbe attached: the delta against
 // BM_RegisterRead/Write is the cost of the one-relaxed-fetch_add hot path

@@ -7,7 +7,10 @@
 // against LatticeScanRT (write_l / read_max, each one §6.2 scan = O(n²)
 // accesses). Joins are branch-free max() with no allocation, so register
 // access complexity — the thing the tree changes — dominates the wall time.
-// Expectation at 8 threads, 90% update / 10% scan: ≥ 3× ops/sec.
+// With both objects on arena registers the tree sustained ≥ 3× ops/sec at
+// 8 threads, 90% update / 10% scan. Since int64 registers are word
+// registers (plain loads), the flat object leads at 90/10 up to 8 threads
+// and the tree from 16 on; the tree's Stamped nodes still pay the arena.
 //
 // Context: the snapshot-object interface, where AtomicSnapshotRT's post()
 // makes updates O(1) and shifts all cost to scans; plus the double-collect

@@ -15,6 +15,13 @@
 // counted separately in ".cas" (one atomic step — add it to ".writes" when
 // comparing against sim StepCounts, where a CAS counts as one write).
 // Attach after construction, before concurrent use.
+//
+// Register selection (kWordRegister below): a value of integral type of at
+// most 8 bytes fits one lock-free atomic instruction, so Reg<T> and
+// CasReg<T> are then rt::CASRegister<T> — a plain std::atomic<T>, no
+// version arena, no refcount traffic. Every other T (arrays, stamped
+// records, vectors) stays on the bounded VersionArena registers. DESIGN.md
+// §9 gives the argument.
 #pragma once
 
 #include <coroutine>
@@ -22,6 +29,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -55,11 +63,20 @@ struct ReadyVoidAwaiter {
 
 }  // namespace detail
 
+// Whether RtBackend keeps T inline in one std::atomic<T> (rt::CASRegister)
+// instead of a VersionArena. For integral T a bitwise compare-exchange
+// decides exactly what operator== decides, so the value-CAS contract of
+// api/backend.hpp is unchanged.
+template <class T>
+inline constexpr bool kWordRegister = std::is_integral_v<T> && sizeof(T) <= 8;
+
 struct RtBackend {
   template <class T>
-  using Reg = rt::SWMRRegister<T>;
+  using Reg = std::conditional_t<kWordRegister<T>, rt::CASRegister<T>,
+                                 rt::SWMRRegister<T>>;
   template <class T>
-  using CasReg = rt::CASValueRegister<T>;
+  using CasReg = std::conditional_t<kWordRegister<T>, rt::CASRegister<T>,
+                                    rt::CASValueRegister<T>>;
   template <class T>
   using Coro = EagerCoro<T>;
 
@@ -95,6 +112,24 @@ struct RtBackend {
       return detail::ReadyAwaiter<bool>{ok};
     }
 
+    // Word registers (kWordRegister<T>): one atomic load / store / CAS.
+    template <class T>
+    auto read(const rt::CASRegister<T>& reg) const {
+      return detail::ReadyAwaiter<T>{reg.read()};
+    }
+
+    template <class T>
+    auto write(rt::CASRegister<T>& reg, T value) const {
+      reg.write(value);
+      return detail::ReadyVoidAwaiter{};
+    }
+
+    template <class T>
+    auto cas(rt::CASRegister<T>& reg, T expected, T desired) const {
+      const bool ok = reg.compare_exchange(expected, desired);
+      return detail::ReadyAwaiter<bool>{ok};
+    }
+
     // Operation-span markers (obs/span.hpp), forwarded to the calling
     // thread's ambient span state (installed by rt::parallel_run). No-ops —
     // one TLS load and a branch — without an ambient tracer. Same explicit
@@ -120,19 +155,16 @@ struct RtBackend {
 
     template <class T>
     Reg<T>& make(const std::string& name, T initial, int /*writer*/ = -1) {
-      auto h = std::make_unique<Holder<Reg<T>>>(name, std::move(initial));
-      Reg<T>& reg = h->reg;
-      holders_.push_back(std::move(h));
-      return reg;
+      return add<Reg<T>>(name, std::move(initial));
     }
 
     template <class T>
     CasReg<T>& make_cas(const std::string& name, T initial) {
-      auto h = std::make_unique<Holder<CasReg<T>>>(name, num_procs_,
-                                                   std::move(initial));
-      CasReg<T>& reg = h->reg;
-      holders_.push_back(std::move(h));
-      return reg;
+      if constexpr (kWordRegister<T>) {
+        return add<CasReg<T>>(name, initial);
+      } else {
+        return add<CasReg<T>>(name, num_procs_, std::move(initial));
+      }
     }
 
     // Instruments every register created so far: aggregate counters
@@ -166,7 +198,9 @@ struct RtBackend {
 
     // Reclamation accounting summed over every register in this Mem (exact
     // at quiescence). live_versions() is bounded by concurrent holders, not
-    // by write count — which is what makes the gauge worth watching.
+    // by write count — which is what makes the gauge worth watching. Word
+    // registers (kWordRegister) own no versions and add exactly zero to
+    // every field: that is exact, not a bound.
     rt::reclaim::ReclaimStats reclaim_stats() const {
       rt::reclaim::ReclaimStats total;
       for (const auto& h : holders_) total += h->reclaim_stats();
@@ -175,7 +209,8 @@ struct RtBackend {
 
     // Publishes the reclamation totals as gauges "rt.<name>.reclaim.
     // {live_versions,retired,recycled,acquire_contention}" into `registry`.
-    // Call at quiescence (after joins); gauges are last-writer-wins.
+    // Call at quiescence (after joins); gauges are last-writer-wins. Word
+    // registers contribute exactly zero to each gauge (see reclaim_stats).
     void export_reclaim_gauges(obs::Registry& registry,
                                const std::string& name) const {
       const rt::reclaim::ReclaimStats s = reclaim_stats();
@@ -190,6 +225,7 @@ struct RtBackend {
           .set(static_cast<std::int64_t>(s.acquire_contention));
     }
 
+    // Counts every register, word registers included.
     std::size_t num_registers() const { return holders_.size(); }
     const std::string& register_name(std::size_t i) const {
       return holders_[i]->name;
@@ -225,12 +261,21 @@ struct RtBackend {
       R reg;
     };
 
+    template <class R, class... Args>
+    R& add(const std::string& name, Args&&... args) {
+      auto h = std::make_unique<Holder<R>>(name, std::forward<Args>(args)...);
+      R& reg = h->reg;
+      holders_.push_back(std::move(h));
+      return reg;
+    }
+
     int num_procs_;
     std::vector<std::unique_ptr<HolderBase>> holders_;
   };
 };
 
 static_assert(CasBackendFor<RtBackend, int>);
+static_assert(CasBackendFor<RtBackend, std::vector<int>>);
 
 // Owner of one rt object: the Mem plus the backend-templated object built
 // on it (Impl's constructor takes (Mem&, num_procs, extra args...)), and the

@@ -50,7 +50,8 @@ class CounterRep {
   struct Prep {
     bool done = false;
     Response resp = 0;
-    Cell expected{};  // the decision CAS (unused when done)
+    Cell expected{};  // the decision CAS (unused when done); only seq is
+                      // set, since == compares nothing else
     Cell desired{};
   };
 
@@ -88,7 +89,7 @@ class CounterRep {
       co_return p;
     }
     auto [next_value, resp] = CounterSpec::apply(cur.value, inv);
-    p.expected = cur;
+    p.expected.seq = cur.seq;
     p.desired = std::move(cur);
     p.desired.seq = p.expected.seq + 1;
     p.desired.value = next_value;

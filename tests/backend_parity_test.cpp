@@ -5,21 +5,51 @@
 // register accesses. rt CAS is split out of writes by RtProbe, so the
 // comparison is rt.writes + rt.cas == sim writes (no ported object uses
 // CAS, so rt.cas stays 0).
+//
+// Also here: RtBackend's register selection (word registers for integral
+// values of at most 8 bytes, VersionArena registers for everything else)
+// and the attach points the word registers keep.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <type_traits>
+#include <vector>
 
 #include "agreement/approx_agreement.hpp"
 #include "api/rt_backend.hpp"
 #include "api/sim_backend.hpp"
+#include "farray/farray.hpp"
+#include "fault/rt_inject.hpp"
 #include "objects/fast_counter.hpp"
+#include "objects/union_find.hpp"
 #include "obs/metrics.hpp"
+#include "rt/thread_harness.hpp"
 #include "sim/world.hpp"
 #include "snapshot/atomic_snapshot.hpp"
 #include "snapshot/baselines/afek_snapshot.hpp"
 #include "snapshot/baselines/double_collect.hpp"
+#include "universal2/counter_rep.hpp"
 
 namespace apram::parity {
+
+// Integral values of at most 8 bytes live inline in one std::atomic...
+template <class T>
+constexpr bool kIsWord =
+    std::is_same_v<api::RtBackend::Reg<T>, rt::CASRegister<T>> &&
+    std::is_same_v<api::RtBackend::CasReg<T>, rt::CASRegister<T>>;
+static_assert(kIsWord<std::int32_t>);
+static_assert(kIsWord<std::int64_t>);
+static_assert(kIsWord<std::uint64_t>);
+static_assert(kIsWord<bool>);
+
+// ...everything else stays on the bounded VersionArena registers.
+template <class T>
+constexpr bool kIsArena =
+    std::is_same_v<api::RtBackend::Reg<T>, rt::SWMRRegister<T>> &&
+    std::is_same_v<api::RtBackend::CasReg<T>, rt::CASValueRegister<T>>;
+static_assert(kIsArena<farray::Stamped<std::int64_t>>);
+static_assert(kIsArena<universal2::CounterRep<api::RtBackend>::Cell>);
+static_assert(kIsArena<std::vector<std::int64_t>>);
 
 // Each case: the object under test plus its solo program for pid 0, as a
 // template over the backend.
@@ -116,6 +146,68 @@ TYPED_TEST(BackendParity, SimAndRtBackendsPerformTheSameAccesses) {
     EXPECT_EQ(rt_reads, sim_counts.reads) << "n=" << n;
     EXPECT_EQ(rt_writes + rt_cas, sim_counts.writes) << "n=" << n;
   }
+}
+
+// The probe attach point survives the switch to word registers. Pid 0 parks
+// before its link CAS on parent[2]; the main thread links 2 under 0 in the
+// meantime, so pid 0's CAS loses, and its retry links 1 under 0.
+TEST(WordRegister, AttachObsCountsUnionFindParentAccesses) {
+  UnionFindRT uf(/*num_procs=*/2, /*universe=*/3);
+  obs::Registry reg;
+  uf.attach_obs(reg, "uf");
+  fault::RtInjector inj(fault::RtInjectOptions{});
+  uf.attach_injector(&inj);
+  rt::run_with_stall(
+      /*num_threads=*/1, [&](int pid) { uf.unite(pid, 2, 1); }, inj,
+      /*victim=*/0, /*stall_after=*/2, [&] { uf.unite(1, 2, 0); });
+  EXPECT_TRUE(uf.same_set(0, 1, 2));
+  EXPECT_EQ(uf.num_sets(0), 1);
+
+  // Parent registers: main 2 reads + 1 CAS; pid 0 2 reads + 1 lost CAS,
+  // then 3 reads + 1 CAS; same_set 2 + 2 reads. Each of the two links then
+  // adds one solo FArray write at n = 2 (1 + 4h, h = 1: a leaf write,
+  // 3 reads, 1 CAS), and num_sets one root read.
+  EXPECT_EQ(reg.counter("rt.uf.reads").value(), 2u + 5u + 4u + 2u * 3u + 1u);
+  EXPECT_EQ(reg.counter("rt.uf.writes").value(), 2u);
+  EXPECT_EQ(reg.counter("rt.uf.cas").value(), 3u + 2u);
+  EXPECT_EQ(reg.counter("rt.uf.cas_fail").value(), 1u);
+}
+
+// The injector attach point survives too: on_access fires once per access,
+// and a word read has no hold point, so a kHold stall never engages and
+// the victim runs to completion.
+TEST(WordRegister, InjectorFiresOnAccessButNeverOnHold) {
+  api::RtBackend::Mem mem(1);
+  auto& r = mem.make<std::int64_t>("r", 7);
+  auto& c = mem.make_cas<std::int64_t>("c", 0);
+  fault::RtInjector inj(fault::RtInjectOptions{});
+  mem.attach_injector(&inj);
+  const api::RtBackend::Ctx ctx{0};
+  bool victim_done = false;
+  bool engaged_while_stalled = true;
+  rt::run_with_stall(
+      /*num_threads=*/1,
+      [&](int) {
+        for (int i = 0; i < 4; ++i) {
+          (void)ctx.read(r).await_resume();
+          (void)ctx.read(c).await_resume();
+        }
+        ctx.write(r, std::int64_t{8});
+        (void)ctx.cas(c, std::int64_t{0}, std::int64_t{1}).await_resume();
+        victim_done = true;
+      },
+      inj, /*victim=*/0, /*stall_after=*/0,
+      [&] { engaged_while_stalled = inj.stall_engaged(); },
+      /*tracer=*/nullptr, fault::StallPoint::kHold);
+  EXPECT_TRUE(victim_done);
+  EXPECT_FALSE(engaged_while_stalled);
+  EXPECT_EQ(inj.accesses(0), 10u);
+  EXPECT_EQ(r.read(), 8);
+  EXPECT_EQ(c.read(), 1);
+  const rt::reclaim::ReclaimStats s = mem.reclaim_stats();
+  EXPECT_EQ(s.allocated, 0u);
+  EXPECT_EQ(s.live_versions(), 0u);
+  EXPECT_EQ(mem.num_registers(), 2u);
 }
 
 }  // namespace apram::parity
