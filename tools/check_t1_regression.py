@@ -4,13 +4,19 @@
 Thin wrapper over the generic gate (tools/check_bench_regression.py) with
 the bench_t1 cells baked in: the headline is TreeScanRT ops/s at 8
 threads, 90/10 update/scan mix, normalized by the LatticeScanRT flat
-object measured in the SAME run — both implementations ride the identical
-register read/write hot path, so machine speed and runner noise cancel,
-and what remains is the tree-vs-flat shape — the thing a read-path
-regression (e.g. in the version-arena acquire/release) actually moves.
+object measured in the SAME run:
 
     expected_tree = baseline_tree * (current_flat / baseline_flat)
     fail if current_tree < (1 - tolerance) * expected_tree
+
+The normalization assumed both objects ride the same register hot path, so
+that machine speed and runner noise cancel. That no longer holds: the flat
+object's int64 registers are word registers (one std::atomic), while the
+tree's Stamped nodes stay on the VersionArena. The committed baseline was
+recorded with both on the arena, so the gate fails against it (ratio ~0.2).
+No same-run normalizer found so far spreads less than the 3% tolerance over
+ten runs on a shared 4-vCPU host; ROADMAP.md has the measurements. The
+baseline is kept as recorded rather than re-picked.
 
 Multiple current artifacts may be passed; the gate takes the BEST ratio
 (scheduler noise is one-sided; a real regression depresses every run).
