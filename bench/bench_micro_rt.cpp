@@ -1,5 +1,5 @@
 // Micro-benchmarks (google-benchmark) for the real-thread runtime: register
-// read/write/CAS latency (bounded, unbounded and word registers), snapshot
+// read/write/CAS latency (arena and word registers), snapshot
 // scan/update latency vs n, counter ops.
 // Single-threaded latency numbers — the multi-thread throughput shapes live
 // in bench_e5_snapshot_compare.
@@ -43,23 +43,11 @@ void BM_RegisterWrite(benchmark::State& state) {
 }
 BENCHMARK(BM_RegisterWrite);
 
-// Read-path cost of bounded reclamation, measured head to head: the default
-// register's acquire/release read (one fetch_add + one fetch_sub on top of
-// the copy) against the grow-only register's plain acquire-load. The delta
-// is the per-read price of bounded memory — the regression gate in CI
-// (tools/check_t1_regression.py) bounds the end-to-end effect at 10%.
-void BM_RegisterReadUnbounded(benchmark::State& state) {
-  UnboundedSWMRRegister<std::int64_t> reg(42);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(reg.read());
-  }
-}
-BENCHMARK(BM_RegisterReadUnbounded);
-
 // Word registers: the std::atomic register api::RtBackend selects for
-// integral values of at most 8 bytes (BM_*Word rows sit beside the bounded
-// and unbounded rows of the same access, so the arena's price reads off
-// directly).
+// integral values of at most 8 bytes. Each BM_*Word row sits beside the
+// arena row of the same access, so the arena's price — the acquire/release
+// read (one fetch_add + one fetch_sub on top of the copy), the
+// alloc/publish/transfer write — reads off directly.
 void BM_RegisterReadWord(benchmark::State& state) {
   CASRegister<std::int64_t> reg(42);
   for (auto _ : state) {
@@ -67,19 +55,6 @@ void BM_RegisterReadWord(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RegisterReadWord);
-
-// Write-path comparison: arena alloc(+recycle)/publish/transfer against the
-// grow-only deque push_back + release store. The unbounded variant's memory
-// grows with the iteration count (this is exactly the leak the arena
-// removes), so keep an eye on benchmark-time RSS if you raise iterations.
-void BM_RegisterWriteUnbounded(benchmark::State& state) {
-  UnboundedSWMRRegister<std::int64_t> reg(0);
-  std::int64_t i = 0;
-  for (auto _ : state) {
-    reg.write(++i);
-  }
-}
-BENCHMARK(BM_RegisterWriteUnbounded);
 
 void BM_RegisterWriteWord(benchmark::State& state) {
   CASRegister<std::int64_t> reg(0);
@@ -99,16 +74,6 @@ void BM_CasRegisterSwapBounded(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CasRegisterSwapBounded);
-
-void BM_CasRegisterSwapUnbounded(benchmark::State& state) {
-  UnboundedCASValueRegister<std::int64_t> reg(1, 0);
-  std::int64_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(reg.compare_exchange(0, i, i + 1));
-    ++i;
-  }
-}
-BENCHMARK(BM_CasRegisterSwapUnbounded);
 
 void BM_CasRegisterSwapWord(benchmark::State& state) {
   CASRegister<std::int64_t> reg(0);

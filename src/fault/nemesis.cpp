@@ -78,7 +78,13 @@ FaultPlan random_plan(Rng& rng, int num_procs, const PlanOptions& opts) {
 }
 
 Nemesis::Nemesis(sim::Scheduler& inner, FaultPlan plan)
-    : inner_(&inner), plan_(std::move(plan)), pending_crashes_(plan_.crashes) {}
+    : inner_(&inner), plan_(std::move(plan)) {}
+
+std::uint64_t Nemesis::crashes_fired() const {
+  std::uint64_t fired = 0;
+  for (const int pid : victims_) fired += world_->crashed(pid) ? 1 : 0;
+  return fired;
+}
 
 bool Nemesis::stalled(int pid, std::uint64_t step) const {
   for (const StallFault& f : plan_.stalls) {
@@ -91,24 +97,19 @@ bool Nemesis::stalled(int pid, std::uint64_t step) const {
 }
 
 int Nemesis::pick(sim::World& w) {
-  // 1) Fire due crashes (victim-keyed; completion wins, as in
-  //    CrashingScheduler).
-  std::size_t keep = 0;
-  for (std::size_t i = 0; i < pending_crashes_.size(); ++i) {
-    const CrashFault c = pending_crashes_[i];
-    if (!w.spawned(c.pid)) {
-      pending_crashes_[keep++] = c;
-      continue;
+  // 1) Crashes are the World's: hand the plan over once. A victim that is
+  //    already crashed has nothing left to lose and is skipped.
+  if (world_ == nullptr) {
+    world_ = &w;
+    for (const CrashFault& c : plan_.crashes) {
+      if (w.crashed(c.pid)) continue;
+      w.schedule_crash(c.pid, c.at_access);
+      if (std::find(victims_.begin(), victims_.end(), c.pid) ==
+          victims_.end()) {
+        victims_.push_back(c.pid);
+      }
     }
-    if (w.done(c.pid) || w.crashed(c.pid)) continue;
-    if (w.counts(c.pid).total() >= c.at_access) {
-      w.crash(c.pid);
-      ++crashes_fired_;
-      continue;
-    }
-    pending_crashes_[keep++] = c;
   }
-  pending_crashes_.resize(keep);
 
   const std::uint64_t step = w.global_step();
 

@@ -4,9 +4,10 @@
 // starve, and burst-schedule processes. A Nemesis is a scheduler combinator
 // that layers a seeded FaultPlan over any inner scheduler:
 //
-//   * crashes — victim-keyed, like CrashingScheduler: {pid, at_access}
-//     halts pid before its (at_access+1)-th own access, wherever the inner
-//     scheduler put that access in the interleaving.
+//   * crashes — victim-keyed: {pid, at_access} halts pid before its
+//     (at_access+1)-th own access, wherever the inner scheduler put that
+//     access in the interleaving. The first pick hands them to
+//     World::schedule_crash, which fires them (completion wins).
 //   * stalls  — starvation windows [from_step, from_step+duration) in
 //     global steps: while active, picks of the stalled pid are deflected to
 //     some other runnable process. A stall never deadlocks the run: if
@@ -81,8 +82,10 @@ class Nemesis final : public sim::Scheduler {
 
   int pick(sim::World& w) override;
 
-  // Campaign accounting (summed by the certifier).
-  std::uint64_t crashes_fired() const { return crashes_fired_; }
+  // Campaign accounting (summed by the certifier). crashes_fired() counts
+  // the plan's victims that the World has crashed, so it reads the World
+  // this Nemesis picked for: call it while that World is alive.
+  std::uint64_t crashes_fired() const;
   std::uint64_t stall_deflections() const { return stall_deflections_; }
   std::uint64_t burst_grants() const { return burst_grants_; }
 
@@ -91,8 +94,8 @@ class Nemesis final : public sim::Scheduler {
 
   sim::Scheduler* inner_;
   FaultPlan plan_;
-  std::vector<CrashFault> pending_crashes_;
-  std::uint64_t crashes_fired_ = 0;
+  const sim::World* world_ = nullptr;  // set by the first pick
+  std::vector<int> victims_;           // distinct pids handed to world_
   std::uint64_t stall_deflections_ = 0;
   std::uint64_t burst_grants_ = 0;
   int rr_cursor_ = 0;  // deflection fallback position

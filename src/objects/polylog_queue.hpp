@@ -41,7 +41,8 @@
 // paper pays the extra log factor to keep node values word-sized, the same
 // modelling convention as TaggedVectorLattice's O(n) register values).
 // Space is unbounded (the chain holds the full history), like the paper's
-// unbounded registers (rt::UnboundedSWMRRegister).
+// unbounded registers: the rt arena recycles superseded versions of a
+// node's register, but each version still references the whole chain.
 #pragma once
 
 #include <algorithm>

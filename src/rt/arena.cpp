@@ -18,8 +18,6 @@ template class reclaim::VersionArena<std::vector<std::uint64_t>>;
 template class BoundedSWMRRegister<int>;
 template class BoundedSWMRRegister<std::vector<std::uint64_t>>;
 template class BoundedCASValueRegister<std::vector<std::uint64_t>>;
-template class UnboundedSWMRRegister<int>;
-template class UnboundedCASValueRegister<std::vector<std::uint64_t>>;
 
 namespace {
 

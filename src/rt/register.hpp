@@ -4,25 +4,19 @@
 // arrays ("numerous techniques exist for constructing large atomic registers
 // from smaller ones"). On real hardware we realize an arbitrarily large
 // single-writer multi-reader atomic register by publishing immutable
-// versions through one atomic word. Two implementations share that shape:
+// versions through one atomic word. The versions live in an
+// rt::reclaim::VersionArena — a 64-bit control word packing {acquire count,
+// arena slot}, wait-free reader acquire/release, publication with count
+// transfer, failed-CAS cleanup, and per-writer free-list recycling. Memory
+// is proportional to concurrent holders, never to write count. See
+// rt/reclaim.hpp for the protocol and safety argument. Values of at most a
+// word skip the arena: CASRegister below is one std::atomic<T>.
 //
-//   * Bounded (the default): versions live in an rt::reclaim::VersionArena —
-//     a 64-bit control word packing {acquire count, arena slot}, wait-free
-//     reader acquire/release, publication with count transfer, failed-CAS
-//     cleanup, and per-writer free-list recycling. Memory is proportional to
-//     concurrent holders, never to write count. See rt/reclaim.hpp for the
-//     protocol and safety argument.
+// Reads return BY VALUE (the copy happens while the version is held; the
+// reader then releases it). The read path is wait-free: one fetch_add plus
+// one fetch_sub.
 //
-//   * Unbounded (Unbounded* classes, named only directly): every write
-//     appends to a grow-only node store that is never freed before the
-//     register is destroyed — the paper's unbounded-register assumption,
-//     verbatim. bench_micro_rt prices the bounded registers against them.
-//
-// Reads return BY VALUE in both flavours (the copy happens while the version
-// is held; bounded readers then release it). Both read paths are wait-free:
-// unbounded is one acquire-load, bounded is one fetch_add + one fetch_sub.
-//
-// Both register flavours carry an optional apram::obs probe (attach_probe):
+// Every register carries an optional apram::obs probe (attach_probe):
 // unattached, an access pays one relaxed pointer load and a predictable
 // branch; attached, each access is counted (relaxed fetch_add) and — when
 // the calling thread has a model pid — traced with an rt timestamp.
@@ -30,7 +24,7 @@
 // They also carry an optional apram::fault::RtInjector (attach_injector)
 // that fires BEFORE the access takes effect — the injection point is the
 // access boundary, the only place the model lets an adversary act. The
-// bounded registers add a second injection point, on_hold(), between a
+// arena registers add a second injection point, on_hold(), between a
 // reader's acquire and its dereference: stalling there keeps a version
 // pinned while writers churn, which is exactly the window a reclamation bug
 // would need to free a held version (tests/rt_reclaim_test.cpp proves it
@@ -39,7 +33,6 @@
 
 #include <atomic>
 #include <cstddef>
-#include <deque>
 #include <utility>
 #include <vector>
 
@@ -51,7 +44,7 @@
 namespace apram::rt {
 
 // ---------------------------------------------------------------------------
-// Bounded-memory registers (default): VersionArena underneath.
+// Bounded-memory registers: VersionArena underneath.
 // ---------------------------------------------------------------------------
 
 template <class T>
@@ -121,7 +114,7 @@ class BoundedSWMRRegister {
 };
 
 // Multi-writer register with value-compared compare-and-swap over
-// arbitrarily large values, bounded-memory flavour. compare_exchange
+// arbitrarily large values, on the arena. compare_exchange
 // compares the CURRENT VALUE with T's operator== — which must identify
 // distinct writes (distinct published values never compare equal; Stamped<T>
 // in farray/farray.hpp is the standard recipe) — and succeeds via a CAS
@@ -205,168 +198,8 @@ class BoundedCASValueRegister {
 };
 
 // ---------------------------------------------------------------------------
-// Unbounded registers: the paper's assumption, verbatim. Grow-only node
-// stores, nothing freed before destruction. std::deque guarantees reference
-// stability under push_back, and only the single writer touches the deque
-// structure, so reads race with nothing.
-// ---------------------------------------------------------------------------
-
-template <class T>
-class UnboundedSWMRRegister {
- public:
-  explicit UnboundedSWMRRegister(T initial) {
-    nodes_.push_back(std::move(initial));
-    current_.store(&nodes_.back(), std::memory_order_release);
-  }
-
-  UnboundedSWMRRegister(const UnboundedSWMRRegister&) = delete;
-  UnboundedSWMRRegister& operator=(const UnboundedSWMRRegister&) = delete;
-
-  // Any thread. Wait-free: one acquire load, then a copy of the immutable
-  // node (nodes are never reclaimed, so the dereference is always safe).
-  T read() const {
-    if (fault::RtInjector* inj = injector_.load(std::memory_order_relaxed)) {
-      inj->on_access();
-    }
-    T v = *current_.load(std::memory_order_acquire);
-    if (const obs::RtProbe* p = probe_.load(std::memory_order_relaxed)) {
-      p->on_read();
-    }
-    return v;
-  }
-
-  // Owner thread only (single writer). Wait-free: one release store.
-  void write(T v) {
-    if (fault::RtInjector* inj = injector_.load(std::memory_order_relaxed)) {
-      inj->on_access();
-    }
-    nodes_.push_back(std::move(v));
-    current_.store(&nodes_.back(), std::memory_order_release);
-    if (const obs::RtProbe* p = probe_.load(std::memory_order_relaxed)) {
-      p->on_write();
-    }
-  }
-
-  // Space diagnostics: number of values ever written (incl. the initial).
-  std::size_t versions() const { return nodes_.size(); }
-
-  // Nothing is recycled here; live == allocated by construction.
-  reclaim::ReclaimStats reclaim_stats() const {
-    reclaim::ReclaimStats s;
-    s.allocated = s.live = nodes_.size();
-    return s;
-  }
-
-  void attach_probe(const obs::RtProbe* probe) {
-    probe_.store(probe, std::memory_order_release);
-  }
-
-  void attach_injector(fault::RtInjector* injector) {
-    injector_.store(injector, std::memory_order_release);
-  }
-
- private:
-  std::deque<T> nodes_;
-  std::atomic<const T*> current_;
-  std::atomic<const obs::RtProbe*> probe_{nullptr};
-  std::atomic<fault::RtInjector*> injector_{nullptr};
-};
-
-// Unbounded multi-writer register with value-compared CAS: one grow-only
-// node store per writer (writer `pid` appends only to store `pid`, so no
-// store is ever touched by two threads), swap done on the publication
-// pointer. Sound under the same operator==-identifies-writes contract as the
-// bounded flavour: published nodes are never recycled, so the pointer CAS
-// cannot ABA. Nodes from failed swaps stay in their writer's store — the
-// unbounded-register assumption again.
-template <class T>
-class UnboundedCASValueRegister {
- public:
-  UnboundedCASValueRegister(int num_writers, T initial)
-      : initial_(std::move(initial)),
-        stores_(static_cast<std::size_t>(num_writers)) {
-    APRAM_CHECK(num_writers >= 1);
-    current_.store(&initial_, std::memory_order_release);
-  }
-
-  UnboundedCASValueRegister(const UnboundedCASValueRegister&) = delete;
-  UnboundedCASValueRegister& operator=(const UnboundedCASValueRegister&) =
-      delete;
-
-  // Any thread. Wait-free: one acquire load, then a copy.
-  T read() const {
-    if (fault::RtInjector* inj = injector_.load(std::memory_order_relaxed)) {
-      inj->on_access();
-    }
-    T v = *current_.load(std::memory_order_acquire);
-    if (const obs::RtProbe* p = probe_.load(std::memory_order_relaxed)) {
-      p->on_read();
-    }
-    return v;
-  }
-
-  // One atomic step by thread `pid`: if the current value equals `expected`
-  // (T's operator==), install `desired` and return true. Wait-free — a
-  // failed pointer CAS is a failed operation, never a retry loop.
-  bool compare_exchange(int pid, const T& expected, T desired) {
-    if (fault::RtInjector* inj = injector_.load(std::memory_order_relaxed)) {
-      inj->on_access();
-    }
-    const T* cur = current_.load(std::memory_order_acquire);
-    bool ok = *cur == expected;
-    if (ok) {
-      std::deque<T>& store = stores_[static_cast<std::size_t>(pid)].nodes;
-      store.push_back(std::move(desired));
-      ok = current_.compare_exchange_strong(cur, &store.back(),
-                                            std::memory_order_acq_rel,
-                                            std::memory_order_acquire);
-    }
-    if (const obs::RtProbe* p = probe_.load(std::memory_order_relaxed)) {
-      p->on_cas(ok);
-    }
-    return ok;
-  }
-
-  // Space diagnostics: values ever prepared (incl. the initial; counts nodes
-  // from failed swaps too).
-  std::size_t versions() const {
-    std::size_t total = 1;
-    for (const Store& s : stores_) total += s.nodes.size();
-    return total;
-  }
-
-  reclaim::ReclaimStats reclaim_stats() const {
-    reclaim::ReclaimStats s;
-    s.allocated = s.live = versions();
-    return s;
-  }
-
-  void attach_probe(const obs::RtProbe* probe) {
-    probe_.store(probe, std::memory_order_release);
-  }
-
-  void attach_injector(fault::RtInjector* injector) {
-    injector_.store(injector, std::memory_order_release);
-  }
-
- private:
-  // Per-writer stores live on their own cache lines.
-  struct alignas(64) Store {
-    std::deque<T> nodes;
-  };
-
-  T initial_;
-  std::vector<Store> stores_;
-  std::atomic<const T*> current_;
-  std::atomic<const obs::RtProbe*> probe_{nullptr};
-  std::atomic<fault::RtInjector*> injector_{nullptr};
-};
-
-// ---------------------------------------------------------------------------
 // The register names every rt algorithm and the api::RtBackend use for
-// values wider than a word: the bounded-memory registers. The Unbounded*
-// classes are only ever named directly (paper-mode comparisons in
-// bench_micro_rt and rt_test).
+// values wider than a word: the bounded-memory registers.
 // ---------------------------------------------------------------------------
 
 template <class T>

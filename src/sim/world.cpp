@@ -1,5 +1,7 @@
 #include "sim/world.hpp"
 
+#include <algorithm>
+
 #include "sim/scheduler.hpp"
 
 namespace apram::sim {
@@ -19,14 +21,15 @@ World::World(int num_procs, const Options& options)
 }
 
 void World::apply_options(const Options& options) {
-  if (options.trace) trace_enabled_ = true;
   if (options.lazy_spawn) lazy_spawn_ = true;
   if (options.metrics != nullptr) {
     attach_metrics_impl(*options.metrics, options.metrics_prefix,
                         options.per_pid_metrics);
   }
   if (options.tracer != nullptr) set_tracer_impl(options.tracer);
-  default_max_steps_ = options.max_steps;
+  if (options.max_steps != kDefaultMaxSteps) {
+    default_max_steps_ = options.max_steps;
+  }
   for (const CrashPoint& c : options.crashes) {
     schedule_crash(c.pid, c.at_access);
   }
@@ -90,6 +93,8 @@ void World::materialize(int pid) {
 
 void World::finish(int pid) {
   state_[static_cast<std::size_t>(pid)] = ProcState::kDone;
+  // Completion wins: a threshold the program did not reach retires with it.
+  crash_at_[static_cast<std::size_t>(pid)] = kNoScheduledCrash;
   runnable_.remove(pid);
   resume_[static_cast<std::size_t>(pid)] = nullptr;
   Body& b = bodies_[static_cast<std::size_t>(pid)];
@@ -104,6 +109,7 @@ void World::finish(int pid) {
 void World::crash(int pid) {
   if (runnable(pid)) runnable_.remove(pid);
   state_[static_cast<std::size_t>(pid)] = ProcState::kCrashed;
+  crash_at_[static_cast<std::size_t>(pid)] = kNoScheduledCrash;
   resume_[static_cast<std::size_t>(pid)] = nullptr;
   Body& b = bodies_[static_cast<std::size_t>(pid)];
   b.task = ProcessTask{};  // destroying a suspended frame is well-defined
@@ -114,13 +120,13 @@ void World::crash(int pid) {
 void World::schedule_crash(int pid, std::uint64_t at_access) {
   APRAM_CHECK_MSG(state(pid) != ProcState::kCrashed,
                   "schedule_crash on a crashed process");
-  crash_at_[static_cast<std::size_t>(pid)] = at_access;
+  std::uint64_t& at = crash_at_[static_cast<std::size_t>(pid)];
+  at = std::min(at, at_access);
   maybe_fire_scheduled_crash(pid);
 }
 
 void World::maybe_fire_scheduled_crash(int pid) {
-  // Completion wins: a process that finished its program below the
-  // threshold keeps its result. Unspawned processes wait for spawn().
+  // Unspawned and done processes keep the threshold for their next spawn.
   const ProcState s = state_[static_cast<std::size_t>(pid)];
   if (s != ProcState::kLive && s != ProcState::kPending) return;
   if (counts_[static_cast<std::size_t>(pid)].total() >=
@@ -226,9 +232,6 @@ void World::count_access(int pid, int register_id, bool is_write) {
       }
     }
   }
-  if (trace_enabled_) {
-    trace_.push_back(AccessEvent{global_step_, pid, register_id, is_write});
-  }
   if (tracer_ != nullptr) {
     tracer_->emit(obs::TraceEvent{
         global_step_, pid,
@@ -245,10 +248,6 @@ void World::count_cas(int pid, int register_id, bool success) {
     if (!obs_writes_.empty()) {
       obs_writes_[static_cast<std::size_t>(pid)]->add_shard(0, 1);
     }
-  }
-  if (trace_enabled_) {
-    trace_.push_back(
-        AccessEvent{global_step_, pid, register_id, /*is_write=*/true});
   }
   if (tracer_ != nullptr) {
     tracer_->emit(obs::TraceEvent{global_step_, pid, obs::EventKind::kCas,

@@ -136,7 +136,7 @@ TEST(RandomizedConsensus, ThreeProcessAgreementAndValidity) {
 
 TEST(RandomizedConsensus, SurvivorDecidesDespiteRivalCrash) {
   for (std::uint64_t crash_at = 1; crash_at < 12; ++crash_at) {
-    World w(2);
+    World w(2, {.crashes = {{.pid = 0, .at_access = crash_at}}});
     RandomizedConsensusSim cons(w, 2);
     std::int64_t d1 = -1;
     w.spawn(0, [&](Context ctx) -> ProcessTask {
@@ -146,8 +146,7 @@ TEST(RandomizedConsensus, SurvivorDecidesDespiteRivalCrash) {
       d1 = co_await cons.propose(ctx, 1, 10);
     });
     sim::RandomScheduler rnd(crash_at);
-    sim::CrashingScheduler sched(rnd, {{crash_at, 0}});
-    const auto res = w.run(sched, 500'000);
+    const auto res = w.run(rnd, 500'000);
     EXPECT_TRUE(res.all_done);
     EXPECT_TRUE(d1 == 0 || d1 == 1) << "crash_at=" << crash_at;
   }

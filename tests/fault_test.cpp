@@ -1,7 +1,7 @@
 // Fault injection and wait-freedom certification (sim side).
 //
-// Covers: victim-keyed crash semantics (CrashingScheduler and
-// World::schedule_crash), strict/lenient replay divergence handling, the
+// Covers: victim-keyed crash semantics (World::schedule_crash and
+// Options::crashes), strict/lenient replay divergence handling, the
 // Nemesis scheduler-combinator (crash/stall/burst plans), the campaign
 // certifier with step-bound judges, replay artifacts for violations, and
 // exhaustive exploration of crash-during-Scan interleavings.
@@ -35,14 +35,21 @@ ProcessTask writer(Context ctx, sim::Register<int>& reg, int k) {
 }
 
 // ---------------------------------------------------------------------------
-// Victim-keyed crash semantics: {S, pid} == "pid performs exactly S accesses"
+// Victim-keyed crash semantics: {pid, S} == "pid performs exactly S accesses"
 // ---------------------------------------------------------------------------
+
+// A crash plan for World::Options.
+World::Options crashes(std::vector<World::CrashPoint> points) {
+  World::Options o;
+  o.crashes = std::move(points);
+  return o;
+}
 
 TEST(CrashSemantics, VictimPerformsExactlyItsQuota) {
   // Whatever the interleaving, a quota of 4 own accesses means exactly 4 —
   // the crash point must not drift with the other processes' steps.
   for (std::uint64_t seed = 0; seed < 10; ++seed) {
-    World w(3);
+    World w(3, crashes({{.pid = 0, .at_access = 4}}));
     auto& r0 = w.make_register<int>("r0", 0, 0);
     auto& r1 = w.make_register<int>("r1", 0, 1);
     auto& r2 = w.make_register<int>("r2", 0, 2);
@@ -50,8 +57,7 @@ TEST(CrashSemantics, VictimPerformsExactlyItsQuota) {
     w.spawn(1, [&](Context ctx) { return writer(ctx, r1, 10); });
     w.spawn(2, [&](Context ctx) { return writer(ctx, r2, 10); });
     sim::RandomScheduler rnd(seed);
-    sim::CrashingScheduler sched(rnd, {{4, 0}});
-    EXPECT_TRUE(w.run(sched).all_done);
+    EXPECT_TRUE(w.run(rnd).all_done);
     EXPECT_TRUE(w.crashed(0));
     EXPECT_EQ(w.counts(0).total(), 4u) << "seed=" << seed;
     EXPECT_EQ(r0.peek(), 4);  // last completed write
@@ -60,18 +66,43 @@ TEST(CrashSemantics, VictimPerformsExactlyItsQuota) {
   }
 }
 
+TEST(CrashSemantics, SeveralVictimsStopAfterExactlyTheirQuotas) {
+  // Two victims among eight writers of one shared register, under a fair
+  // and under random interleavings: each victim performs exactly its quota
+  // and no grant slips through past it.
+  const int n = 8;
+  for (std::uint64_t seed = 0; seed < 6; ++seed) {
+    World w(n, crashes({{.pid = 3, .at_access = 7},
+                        {.pid = 5, .at_access = 11}}));
+    auto& reg = w.make_register<int>("r", 0, sim::kAnyWriter);
+    for (int pid = 0; pid < n; ++pid) {
+      w.spawn(pid, [&](Context ctx) { return writer(ctx, reg, 20); });
+    }
+    sim::RoundRobinScheduler rr;
+    sim::RandomScheduler rnd(seed, /*stickiness=*/0.5);
+    EXPECT_TRUE(seed == 0 ? w.run(rr).all_done : w.run(rnd).all_done);
+    EXPECT_TRUE(w.crashed(3));
+    EXPECT_EQ(w.counts(3).total(), 7u) << "seed=" << seed;
+    EXPECT_TRUE(w.crashed(5));
+    EXPECT_EQ(w.counts(5).total(), 11u) << "seed=" << seed;
+    for (int pid : {0, 1, 2, 4, 6, 7}) {
+      EXPECT_TRUE(w.done(pid)) << pid;
+      EXPECT_EQ(w.counts(pid).total(), 20u) << pid;
+    }
+  }
+}
+
 TEST(CrashSemantics, WriterCrashesOneStepBeforeFinalWrite) {
   // The off-by-one this pins down: quota k-1 on a k-write program means the
   // final write is the one that never happens.
   const int k = 6;
-  World w(2);
+  World w(2, crashes({{.pid = 0, .at_access = k - 1}}));
   auto& reg = w.make_register<int>("reg", 0, 0);
   auto& other = w.make_register<int>("other", 0, 1);
   w.spawn(0, [&](Context ctx) { return writer(ctx, reg, k); });
   w.spawn(1, [&](Context ctx) { return writer(ctx, other, 3); });
   sim::RoundRobinScheduler rr;
-  sim::CrashingScheduler sched(rr, {{static_cast<std::uint64_t>(k - 1), 0}});
-  EXPECT_TRUE(w.run(sched).all_done);
+  EXPECT_TRUE(w.run(rr).all_done);
   EXPECT_TRUE(w.crashed(0));
   EXPECT_EQ(w.counts(0).writes, static_cast<std::uint64_t>(k - 1));
   EXPECT_EQ(reg.peek(), k - 1);  // the k-th write was lost to the crash
@@ -79,43 +110,118 @@ TEST(CrashSemantics, WriterCrashesOneStepBeforeFinalWrite) {
 
 TEST(CrashSemantics, CompletionWins) {
   // A quota past the program's length never fires: the process finishes.
-  World w(1);
+  World w(1, crashes({{.pid = 0, .at_access = 5}}));
   auto& reg = w.make_register<int>("reg", 0);
   w.spawn(0, [&](Context ctx) { return writer(ctx, reg, 5); });
   sim::RoundRobinScheduler rr;
-  sim::CrashingScheduler sched(rr, {{5, 0}});
-  EXPECT_TRUE(w.run(sched).all_done);
+  EXPECT_TRUE(w.run(rr).all_done);
   EXPECT_FALSE(w.crashed(0));
   EXPECT_TRUE(w.done(0));
   EXPECT_EQ(reg.peek(), 5);
 }
 
+TEST(CrashSemantics, CompletionRetiresTheThreshold) {
+  // The threshold belongs to the program that did not reach it: once that
+  // program finishes, a respawned program runs past the old threshold.
+  World w(1, crashes({{.pid = 0, .at_access = 5}}));
+  auto& reg = w.make_register<int>("reg", 0);
+  w.spawn(0, [&](Context ctx) { return writer(ctx, reg, 3); });
+  w.run_solo(0);
+  ASSERT_TRUE(w.done(0));
+  w.spawn(0, [&](Context ctx) { return writer(ctx, reg, 4); });
+  w.run_solo(0);
+  EXPECT_TRUE(w.done(0));
+  EXPECT_FALSE(w.crashed(0));
+  EXPECT_EQ(w.counts(0).total(), 7u);
+}
+
+TEST(CrashSemantics, ReviveDoesNotRefireAThreshold) {
+  // A fired threshold retires with the crash: the revived incarnation's
+  // counts already meet it, yet it must run to completion.
+  World w(1, crashes({{.pid = 0, .at_access = 2}}));
+  auto& reg = w.make_register<int>("reg", 0);
+  w.spawn(0, [&](Context ctx) { return writer(ctx, reg, 5); });
+  w.run_solo(0);
+  ASSERT_TRUE(w.crashed(0));
+  EXPECT_EQ(w.counts(0).total(), 2u);
+  w.revive(0, [&](Context ctx) { return writer(ctx, reg, 5); });
+  EXPECT_FALSE(w.crashed(0));
+  w.run_solo(0);
+  EXPECT_TRUE(w.done(0));
+  EXPECT_EQ(w.counts(0).total(), 7u);
+  EXPECT_EQ(reg.peek(), 5);
+}
+
 TEST(CrashSemantics, QuotaZeroPreventsAllAccesses) {
-  World w(2);
+  // Quota 0 crashes the victim at spawn, before its first access.
+  World w(2, crashes({{.pid = 0, .at_access = 0}}));
   auto& reg = w.make_register<int>("reg", 0, 0);
   auto& other = w.make_register<int>("other", 0, 1);
   w.spawn(0, [&](Context ctx) { return writer(ctx, reg, 5); });
   w.spawn(1, [&](Context ctx) { return writer(ctx, other, 5); });
-  sim::RoundRobinScheduler rr;
-  sim::CrashingScheduler sched(rr, {{0, 0}});
-  EXPECT_TRUE(w.run(sched).all_done);
   EXPECT_TRUE(w.crashed(0));
-  EXPECT_EQ(w.counts(0).total(), 0u);
-  EXPECT_EQ(reg.peek(), 0);
-}
-
-TEST(CrashSemantics, ScheduleCrashOnWorldMatchesScheduler) {
-  // World::schedule_crash gives the same semantics without a scheduler
-  // wrapper — usable under explore/replay, which own the scheduler.
-  World w(1);
-  auto& reg = w.make_register<int>("reg", 0);
-  w.spawn(0, [&](Context ctx) { return writer(ctx, reg, 9); });
-  w.schedule_crash(0, 3);
   sim::RoundRobinScheduler rr;
   EXPECT_TRUE(w.run(rr).all_done);
   EXPECT_TRUE(w.crashed(0));
-  EXPECT_EQ(w.counts(0).total(), 3u);
-  EXPECT_EQ(reg.peek(), 3);
+  EXPECT_EQ(w.counts(0).total(), 0u);
+  EXPECT_EQ(reg.peek(), 0);
+  EXPECT_EQ(w.counts(1).total(), 5u);
+}
+
+TEST(CrashSemantics, ArmsVictimsThatSpawnMidRun) {
+  World w(2, crashes({{.pid = 1, .at_access = 4}}));
+  auto& reg = w.make_register<int>("r", 0, sim::kAnyWriter);
+  w.spawn(0, [&](Context ctx) { return writer(ctx, reg, 10); });
+  sim::RoundRobinScheduler rr;
+  w.run_steps(rr, 5);
+  // Victim 1 spawns only now; the threshold scheduled at construction
+  // applies to it.
+  w.spawn(1, [&](Context ctx) { return writer(ctx, reg, 10); });
+  EXPECT_TRUE(w.run(rr).all_done);
+  EXPECT_TRUE(w.done(0));
+  EXPECT_TRUE(w.crashed(1));
+  EXPECT_EQ(w.counts(1).total(), 4u);
+}
+
+TEST(CrashSemantics, CountsAccessesTakenOutsideTheSchedulersGrants) {
+  // The threshold counts the victim's accesses however they are granted:
+  // two run_steps grants, then two direct step() calls reach the quota, and
+  // the crash fires before a scheduler grants a 4th access.
+  World w(2, crashes({{.pid = 1, .at_access = 3}}));
+  auto& reg = w.make_register<int>("r", 0, sim::kAnyWriter);
+  w.spawn(0, [&](Context ctx) { return writer(ctx, reg, 10); });
+  w.spawn(1, [&](Context ctx) { return writer(ctx, reg, 10); });
+  sim::RoundRobinScheduler rr;
+  w.run_steps(rr, 2);  // grants pid 0 then pid 1
+  w.step(1);
+  EXPECT_FALSE(w.crashed(1));
+  w.step(1);
+  EXPECT_TRUE(w.crashed(1));
+  EXPECT_TRUE(w.run(rr).all_done);
+  EXPECT_TRUE(w.done(0));
+  EXPECT_EQ(w.counts(1).total(), 3u);
+}
+
+TEST(CrashSemantics, ScheduleCrashOnWorldMatchesScheduler) {
+  // schedule_crash on a running World and Options::crashes at construction
+  // are one trigger: under the same scheduler they produce the same grant
+  // sequence and the same crash point.
+  auto run_once = [](bool late) {
+    World w(2, late ? World::Options{} : crashes({{.pid = 0, .at_access = 3}}));
+    auto& r0 = w.make_register<int>("r0", 0, 0);
+    auto& r1 = w.make_register<int>("r1", 0, 1);
+    w.spawn(0, [&](Context ctx) { return writer(ctx, r0, 9); });
+    w.spawn(1, [&](Context ctx) { return writer(ctx, r1, 9); });
+    if (late) w.schedule_crash(0, 3);
+    sim::RandomScheduler rnd(11);
+    sim::RecordingScheduler rec(rnd);
+    EXPECT_TRUE(w.run(rec).all_done);
+    EXPECT_TRUE(w.crashed(0));
+    EXPECT_EQ(w.counts(0).total(), 3u);
+    EXPECT_EQ(r0.peek(), 3);
+    return rec.picks();
+  };
+  EXPECT_EQ(run_once(false), run_once(true));
 }
 
 TEST(CrashSemantics, ScheduleCrashFiresImmediatelyWhenThresholdMet) {

@@ -122,21 +122,6 @@ TEST(CASValueRegister, SuccessfulSwapsRecycleSupersededVersions) {
   EXPECT_LE(reg.reclaim_stats().live_versions(), 2u);
 }
 
-TEST(UnboundedRegisters, PaperModeKeepsEveryVersion) {
-  // The paper-mode classes (grow-only, every version kept) used directly.
-  UnboundedSWMRRegister<int> reg(0);
-  for (int i = 1; i <= 10; ++i) reg.write(i);
-  EXPECT_EQ(reg.read(), 10);
-  EXPECT_EQ(reg.versions(), 11u);
-  EXPECT_EQ(reg.reclaim_stats().live_versions(), 11u);  // nothing reclaimed
-
-  UnboundedCASValueRegister<int> cas(2, 0);
-  EXPECT_TRUE(cas.compare_exchange(0, 0, 1));
-  EXPECT_FALSE(cas.compare_exchange(1, 0, 2));  // stale expected
-  EXPECT_EQ(cas.read(), 1);
-  EXPECT_EQ(cas.versions(), 2u);  // initial + the one successful swap
-}
-
 TEST(ThreadHarness, PinningBeyondShardCapIsCountedNotSilent) {
   const std::uint64_t before = obs::pinning_degraded();
   // kMaxShards+2 workers: the two clamped pins must be visible in the

@@ -1,8 +1,7 @@
 // Tests for the million-process scale path: the RunnableSet the World's
 // O(1) scheduler queries are built on, lazy coroutine-frame spawning, the
-// epoch fix for RandomScheduler stickiness, the incremental
-// CrashingScheduler, and the scenario suite (Zipf writers, bursty arrivals,
-// crash/recovery churn, record/replay).
+// epoch fix for RandomScheduler stickiness, and the scenario suite (Zipf
+// writers, bursty arrivals, crash/recovery churn, record/replay).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -10,6 +9,7 @@
 #include <set>
 #include <vector>
 
+#include "obs/trace.hpp"
 #include "sim/runnable_set.hpp"
 #include "sim/scenario.hpp"
 #include "sim/scheduler.hpp"
@@ -268,68 +268,6 @@ TEST(RandomScheduler, IsDeterministicPerSeedAtScale) {
   EXPECT_NE(run_once(5), run_once(6));
 }
 
-// ---------------------------------------------------- CrashingScheduler ----
-
-ProcessTask spin_writer(Context ctx, Register<int>& reg, int k) {
-  for (int i = 0; i < k; ++i) co_await ctx.write(reg, i);
-}
-
-TEST(CrashingScheduler, VictimStopsAfterExactlyItsQuota) {
-  const int n = 8;
-  World w(n);
-  auto& reg = w.make_register<int>("r", 0, kAnyWriter);
-  for (int pid = 0; pid < n; ++pid) {
-    w.spawn(pid, [&](Context ctx) { return spin_writer(ctx, reg, 20); });
-  }
-  RoundRobinScheduler rr;
-  CrashingScheduler cs(rr, {{7, 3}, {11, 5}});
-  w.run(cs);
-  // Victims performed exactly their quota before the injected crash; the
-  // incremental check must not let a grant slip through past it.
-  EXPECT_TRUE(w.crashed(3));
-  EXPECT_EQ(w.counts(3).total(), 7u);
-  EXPECT_TRUE(w.crashed(5));
-  EXPECT_EQ(w.counts(5).total(), 11u);
-  for (int pid : {0, 1, 2, 4, 6, 7}) {
-    EXPECT_TRUE(w.done(pid)) << pid;
-    EXPECT_EQ(w.counts(pid).total(), 20u) << pid;
-  }
-}
-
-TEST(CrashingScheduler, ArmsVictimsThatSpawnMidRun) {
-  World w(2);
-  auto& reg = w.make_register<int>("r", 0, kAnyWriter);
-  w.spawn(0, [&](Context ctx) { return spin_writer(ctx, reg, 10); });
-  RoundRobinScheduler rr;
-  CrashingScheduler cs(rr, {{4, 1}});
-  w.run_steps(cs, 5);
-  // Victim 1 spawns only now; its pending entry must arm on the next pick.
-  w.spawn(1, [&](Context ctx) { return spin_writer(ctx, reg, 10); });
-  w.run(cs);
-  EXPECT_TRUE(w.done(0));
-  EXPECT_TRUE(w.crashed(1));
-  EXPECT_EQ(w.counts(1).total(), 4u);
-}
-
-TEST(CrashingScheduler, DetectsStepsTakenOutsideItsGrants) {
-  World w(2);
-  auto& reg = w.make_register<int>("r", 0, kAnyWriter);
-  w.spawn(0, [&](Context ctx) { return spin_writer(ctx, reg, 10); });
-  w.spawn(1, [&](Context ctx) { return spin_writer(ctx, reg, 10); });
-  RoundRobinScheduler rr;
-  CrashingScheduler cs(rr, {{3, 1}});
-  w.run_steps(cs, 2);  // grants pid 0 then pid 1
-  // Push the victim to its quota behind the scheduler's back; the global-
-  // step mismatch must force a sweep on the next pick, so the crash fires
-  // before the victim is granted a 4th access.
-  w.step(1);
-  w.step(1);
-  w.run(cs);
-  EXPECT_TRUE(w.done(0));
-  EXPECT_TRUE(w.crashed(1));
-  EXPECT_EQ(w.counts(1).total(), 3u);
-}
-
 // ---------------------------------------------------------------- scenario --
 
 TEST(Scenario, UpFrontArrivalsRunToCompletion) {
@@ -416,17 +354,26 @@ TEST(Scenario, ZipfSkewConcentratesWritesOnHotRegisters) {
   opts.ops_per_process = 16;
   opts.zipf_s = 1.5;
   opts.total_steps = 100'000;
+  // A tracer whose rings hold every event of the run: each process emits
+  // 16 writes inside 16 op spans plus its spawn and done, 50 events.
+  obs::Tracer tracer(opts.num_procs, /*capacity_per_ring=*/64);
   World::Options wopts = scenario_world_options(opts);
-  wopts.trace = true;
+  wopts.tracer = &tracer;
   World w(opts.num_procs, wopts);
   RoundRobinScheduler rr;
   const ScenarioResult r = run_scenario(w, rr, opts);
   ASSERT_TRUE(r.all_done);
+  ASSERT_EQ(tracer.dropped(), 0u);
   std::map<int, std::uint64_t> per_reg;
-  for (const AccessEvent& ev : w.trace()) {
-    ASSERT_TRUE(ev.is_write);
-    ++per_reg[ev.register_id];
+  std::uint64_t accesses = 0;
+  for (const obs::TraceEvent& ev : tracer.events()) {
+    ASSERT_NE(ev.kind, obs::EventKind::kRead);
+    ASSERT_NE(ev.kind, obs::EventKind::kCas);
+    if (ev.kind != obs::EventKind::kWrite) continue;
+    ++per_reg[ev.object];
+    ++accesses;
   }
+  EXPECT_EQ(accesses, w.global_step());
   // Register ids follow creation order, so id 0 is Zipf rank 0: the single
   // hottest register, holding well over the uniform share (1/64) of writes.
   const std::uint64_t total = 256u * 16u;

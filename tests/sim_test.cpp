@@ -4,6 +4,7 @@
 
 #include <vector>
 
+#include "obs/trace.hpp"
 #include "sim/replay.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/world.hpp"
@@ -119,17 +120,26 @@ TEST(World, CrashStopsProcessButOthersFinish) {
 }
 
 TEST(World, TraceRecordsAccesses) {
-  World w(1, {.trace = true});
+  obs::Tracer tracer(1, /*capacity_per_ring=*/16);
+  World w(1, {.tracer = &tracer});
   auto& src = w.make_register<int>("src", 0);
   auto& dst = w.make_register<int>("dst", 0);
   w.spawn(0, [&](Context ctx) { return copier(ctx, src, dst, 2); });
   w.run_solo(0);
-  ASSERT_EQ(w.trace().size(), 4u);
-  EXPECT_FALSE(w.trace()[0].is_write);
-  EXPECT_EQ(w.trace()[0].register_id, src.id());
-  EXPECT_TRUE(w.trace()[1].is_write);
-  EXPECT_EQ(w.trace()[1].register_id, dst.id());
-  EXPECT_EQ(w.trace()[3].step, 3u);
+  ASSERT_EQ(tracer.dropped(), 0u);
+  std::vector<obs::TraceEvent> trace;
+  for (const obs::TraceEvent& ev : tracer.events()) {
+    if (ev.kind == obs::EventKind::kRead || ev.kind == obs::EventKind::kWrite ||
+        ev.kind == obs::EventKind::kCas) {
+      trace.push_back(ev);
+    }
+  }
+  ASSERT_EQ(trace.size(), 4u);
+  EXPECT_EQ(trace[0].kind, obs::EventKind::kRead);
+  EXPECT_EQ(trace[0].object, src.id());
+  EXPECT_EQ(trace[1].kind, obs::EventKind::kWrite);
+  EXPECT_EQ(trace[1].object, dst.id());
+  EXPECT_EQ(trace[3].when, 3u);
 }
 
 // Sub-coroutine (SimCoro) composition: a shared-memory procedure awaited by
@@ -260,8 +270,8 @@ TEST(Scheduler, RecordingSchedulerReproducesRun) {
   EXPECT_EQ(order1, order2);
 }
 
-TEST(Scheduler, CrashingSchedulerInjectsFailure) {
-  World w(2);
+TEST(World, ScheduledCrashInjectsFailure) {
+  World w(2, {.crashes = {{.pid = 0, .at_access = 4}}});
   auto& reg = w.make_register<int>("r", 0);
   for (int pid = 0; pid < 2; ++pid) {
     w.spawn(pid, [&](Context ctx) -> ProcessTask {
@@ -269,13 +279,12 @@ TEST(Scheduler, CrashingSchedulerInjectsFailure) {
     });
   }
   RoundRobinScheduler rr;
-  CrashingScheduler cs(rr, {{4, 0}});  // crash pid 0 at global step 4
-  const RunResult r = w.run(cs);
+  const RunResult r = w.run(rr);  // pid 0 crashes before its 5th access
   EXPECT_TRUE(r.all_done);
   EXPECT_FALSE(w.done(0));
   EXPECT_TRUE(w.crashed(0));
   EXPECT_TRUE(w.done(1));
-  EXPECT_LE(w.counts(0).reads, 4u);
+  EXPECT_EQ(w.counts(0).reads, 4u);
   EXPECT_EQ(w.counts(1).reads, 10u);
 }
 
@@ -287,6 +296,24 @@ TEST(World, MaxStepsGuardsNontermination) {
   });
   RoundRobinScheduler rr;
   EXPECT_DEATH(w.run(rr, 100), "max_steps");
+}
+
+TEST(World, ApplyOptionsKeepsTheStepBudget) {
+  // apply_options applies only non-default fields: attaching metrics to a
+  // World built with a small budget must leave that budget in force.
+  EXPECT_DEATH(
+      {
+        obs::Registry registry;
+        World w(1, {.max_steps = 50});
+        w.apply_options({.metrics = &registry});
+        auto& reg = w.make_register<int>("r", 0);
+        w.spawn(0, [&](Context ctx) -> ProcessTask {
+          for (int i = 0; i < 200; ++i) co_await ctx.read(reg);
+        });
+        RoundRobinScheduler rr;
+        w.run(rr);
+      },
+      "max_steps");
 }
 
 // Replay: outputs after replaying a recorded prefix match the original run.
