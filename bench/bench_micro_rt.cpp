@@ -1,5 +1,5 @@
 // Micro-benchmarks (google-benchmark) for the real-thread runtime: register
-// read/write/CAS latency (arena and word registers), snapshot
+// read/write/CAS latency (arena, word and double-word registers), snapshot
 // scan/update latency vs n, counter ops.
 // Single-threaded latency numbers — the multi-thread throughput shapes live
 // in bench_e5_snapshot_compare.
@@ -7,6 +7,7 @@
 
 #include <iostream>
 
+#include "api/backend.hpp"
 #include "objects/fast_counter.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
@@ -85,6 +86,43 @@ void BM_CasRegisterSwapWord(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CasRegisterSwapWord);
+
+// Double-word registers: the same std::atomic register over the 16-byte
+// Stamped<int64> FArray node, which api::RtBackend also keeps inline. Each
+// access is a libatomic __atomic_*_16 call (vmovdqa load, vmovdqa + mfence
+// store, lock cmpxchg16b CAS), so the delta against the *Word rows is the
+// call and the wider access; against the arena rows, the refcounts saved.
+using StampedNode = api::Stamped<std::int64_t>;
+
+void BM_RegisterReadStamped(benchmark::State& state) {
+  CASRegister<StampedNode> reg(StampedNode{1, 42});
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(reg.read());
+  }
+}
+BENCHMARK(BM_RegisterReadStamped);
+
+void BM_RegisterWriteStamped(benchmark::State& state) {
+  CASRegister<StampedNode> reg(StampedNode{});
+  std::uint64_t i = 0;
+  for (auto _ : state) {
+    ++i;
+    reg.write(StampedNode{i, static_cast<std::int64_t>(i)});
+  }
+}
+BENCHMARK(BM_RegisterWriteStamped);
+
+void BM_CasRegisterSwapStamped(benchmark::State& state) {
+  CASRegister<StampedNode> reg(StampedNode{});
+  std::uint64_t i = 0;
+  for (auto _ : state) {
+    StampedNode expected{i, static_cast<std::int64_t>(i)};
+    benchmark::DoNotOptimize(reg.compare_exchange(
+        expected, StampedNode{i + 1, static_cast<std::int64_t>(i + 1)}));
+    ++i;
+  }
+}
+BENCHMARK(BM_CasRegisterSwapStamped);
 
 // Same register paths with an obs::RtProbe attached: the delta against
 // BM_RegisterRead/Write is the cost of the one-relaxed-fetch_add hot path

@@ -8,9 +8,9 @@
 // accesses). Joins are branch-free max() with no allocation, so register
 // access complexity — the thing the tree changes — dominates the wall time.
 // With both objects on arena registers the tree sustained ≥ 3× ops/sec at
-// 8 threads, 90% update / 10% scan. Since int64 registers are word
-// registers (plain loads), the flat object leads at 90/10 up to 8 threads
-// and the tree from 16 on; the tree's Stamped nodes still pay the arena.
+// 8 threads, 90% update / 10% scan. Both now run on inline std::atomic
+// registers (int64 slots and leaves, 16-byte Stamped<int64> nodes), and
+// the tree leads at every mix from 2 threads on: 1.9× at t8 90/10.
 //
 // Context: the snapshot-object interface, where AtomicSnapshotRT's post()
 // makes updates O(1) and shifts all cost to scans; plus the double-collect

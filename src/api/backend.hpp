@@ -39,16 +39,32 @@
 // Semantics both backends guarantee per access: reads/writes of a Reg<T> are
 // atomic (linearizable) register operations; cas() on a CasReg<T> is a
 // single atomic step comparing with T's operator== — which must identify
-// distinct writes for ABA-freedom (see farray/farray.hpp's Stamped<T>).
+// distinct writes for ABA-freedom (Stamped<T> below is the recipe).
 //
 // Coroutine style rule (GCC 12): every co_await sits alone in its own
 // statement — never inside a conditional expression or call argument.
 #pragma once
 
 #include <concepts>
+#include <cstdint>
 #include <string>
 
 namespace apram::api {
+
+// A value plus a write-identifying stamp. operator== compares ONLY seq: two
+// Stamped values are "equal" iff they are the same write, which is exactly
+// the identity a value-compared CAS needs to be ABA-free. Writers install
+// {cur.seq + 1, ...} over the cur they read, so a register's seqs never
+// repeat.
+template <class T>
+struct Stamped {
+  std::uint64_t seq = 0;
+  T v{};
+
+  friend bool operator==(const Stamped& a, const Stamped& b) {
+    return a.seq == b.seq;
+  }
+};
 
 // B can host an algorithm over plain read/write registers of value type T.
 template <class B, class T>

@@ -17,11 +17,11 @@
 // Attach after construction, before concurrent use.
 //
 // Register selection (kWordRegister below): a value of integral type of at
-// most 8 bytes fits one lock-free atomic instruction, so Reg<T> and
-// CasReg<T> are then rt::CASRegister<T> — a plain std::atomic<T>, no
-// version arena, no refcount traffic. Every other T (arrays, stamped
-// records, vectors) stays on the bounded VersionArena registers. DESIGN.md
-// §9 gives the argument.
+// most 8 bytes, or a Stamped<U> of an 8-byte integral U (16 bytes, no
+// padding), fits one atomic instruction, so Reg<T> and CasReg<T> are then
+// rt::CASRegister<T> — a plain std::atomic<T>, no version arena, no
+// refcount traffic. Every other T (arrays, other records, vectors) stays
+// on the bounded VersionArena registers. DESIGN.md §9 gives the argument.
 #pragma once
 
 #include <coroutine>
@@ -66,9 +66,17 @@ struct ReadyVoidAwaiter {
 // Whether RtBackend keeps T inline in one std::atomic<T> (rt::CASRegister)
 // instead of a VersionArena. For integral T a bitwise compare-exchange
 // decides exactly what operator== decides, so the value-CAS contract of
-// api/backend.hpp is unchanged.
+// api/backend.hpp is unchanged. So it does for Stamped<U>: a register's
+// seqs never repeat and `expected` is a value read from the register, so
+// equal seqs mean the same write, hence equal bits. A padded Stamped
+// (U = int32) is excluded: its padding bytes take part in the bitwise
+// compare without being part of the value.
 template <class T>
 inline constexpr bool kWordRegister = std::is_integral_v<T> && sizeof(T) <= 8;
+template <class U>
+inline constexpr bool kWordRegister<Stamped<U>> =
+    std::is_integral_v<U> && sizeof(Stamped<U>) == 16 &&
+    std::has_unique_object_representations_v<Stamped<U>>;
 
 struct RtBackend {
   template <class T>
@@ -275,6 +283,7 @@ struct RtBackend {
 };
 
 static_assert(CasBackendFor<RtBackend, int>);
+static_assert(CasBackendFor<RtBackend, Stamped<std::int64_t>>);
 static_assert(CasBackendFor<RtBackend, std::vector<int>>);
 
 // Owner of one rt object: the Mem plus the backend-templated object built

@@ -68,18 +68,10 @@
 
 namespace apram::farray {
 
-// A value plus a write-identifying stamp. operator== compares ONLY seq: two
-// Stamped values are "equal" iff they are the same write, which is exactly
-// the identity a value-compared CAS needs to be ABA-free.
+// The write-identifying stamp lives beside the backend concept (it is the
+// value-CAS recipe api/backend.hpp names); re-exported for the tree.
 template <class T>
-struct Stamped {
-  std::uint64_t seq = 0;
-  T v{};
-
-  friend bool operator==(const Stamped& a, const Stamped& b) {
-    return a.seq == b.seq;
-  }
-};
+using Stamped = api::Stamped<T>;
 
 // Tree height h = log2(bit_ceil(n)) — constexpr so tests can assert against
 // closed forms.

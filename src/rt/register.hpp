@@ -10,7 +10,8 @@
 // transfer, failed-CAS cleanup, and per-writer free-list recycling. Memory
 // is proportional to concurrent holders, never to write count. See
 // rt/reclaim.hpp for the protocol and safety argument. Values of at most a
-// word skip the arena: CASRegister below is one std::atomic<T>.
+// word, and 16-byte Stamped<int64> records, skip the arena: CASRegister
+// below is one std::atomic<T>.
 //
 // Reads return BY VALUE (the copy happens while the version is held; the
 // reader then releases it). The read path is wait-free: one fetch_add plus
@@ -35,6 +36,10 @@
 #include <cstddef>
 #include <utility>
 #include <vector>
+
+#if defined(__x86_64__)
+#include <cpuid.h>
+#endif
 
 #include "fault/rt_inject.hpp"
 #include "obs/rt_probe.hpp"
@@ -114,11 +119,11 @@ class BoundedSWMRRegister {
 };
 
 // Multi-writer register with value-compared compare-and-swap over
-// arbitrarily large values, on the arena. compare_exchange
-// compares the CURRENT VALUE with T's operator== — which must identify
-// distinct writes (distinct published values never compare equal; Stamped<T>
-// in farray/farray.hpp is the standard recipe) — and succeeds via a CAS
-// on the arena control word. The caller's own acquire pins the expected
+// arbitrarily large values, on the arena. compare_exchange compares the
+// CURRENT VALUE with T's operator== — which must identify distinct writes
+// (distinct published values never compare equal; api::Stamped<T> in
+// api/backend.hpp is the standard recipe) — and succeeds via a CAS on the
+// arena control word. The caller's own acquire pins the expected
 // version, so the control-word compare cannot ABA (a held slot cannot be
 // retired, hence cannot be reallocated and re-published). A loser returns
 // its prepared slot to the free list immediately (failed-CAS cleanup).
@@ -207,22 +212,51 @@ using SWMRRegister = BoundedSWMRRegister<T>;
 template <class T>
 using CASValueRegister = BoundedCASValueRegister<T>;
 
+// Whether this CPU runs every 16-byte atomic access as one instruction:
+// with cmpxchg16b and AVX, libatomic's ifunc turns a 16-byte load into one
+// vmovdqa, a store into vmovdqa + mfence and a CAS into one lock
+// cmpxchg16b (aligned 16-byte AVX accesses are atomic; Intel SDM vol. 3A
+// §9.1.1). Read once; DESIGN.md §13 gives the wait-freedom argument.
+inline bool cpu_has_inline_dwcas() {
+#if defined(__x86_64__)
+  static const bool ok = [] {
+    unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+    return __get_cpuid(1, &eax, &ebx, &ecx, &edx) != 0 &&
+           (ecx & bit_CMPXCHG16B) != 0 && (ecx & bit_AVX) != 0;
+  }();
+  return ok;
+#else
+  return false;
+#endif
+}
+
 // Multi-writer register with compare-and-swap — the building block for rt
 // structures that go beyond the paper's read/write base model (and the
-// source of kCas trace events). T must be trivially copyable and small
-// enough for the platform's lock-free std::atomic<T>. No versioning, so no
-// reclamation needed: the value lives inline. api::RtBackend uses it as
-// both Reg<T> and CasReg<T> for integral T of at most 8 bytes (the word
-// registers). A read never holds anything, so there is no on_hold point.
-// Every access is seq_cst, so word registers are linearizable across
-// registers like the paper's atomic registers (DESIGN.md §9); on x86 a
-// read stays a plain load and a write is one xchg.
+// source of kCas trace events). T must be trivially copyable and either
+// small enough for the platform's lock-free std::atomic<T> or exactly 16
+// bytes (a double word: cmpxchg16b + AVX, checked at construction — an
+// unsupported CPU aborts rather than silently taking libatomic's locks).
+// No versioning, so no reclamation needed: the value lives inline.
+// api::RtBackend uses it as both Reg<T> and CasReg<T> for integral T of at
+// most 8 bytes and for Stamped<int64> (the word registers). A read never
+// holds anything, so there is no on_hold point. Every access is seq_cst,
+// so word registers are linearizable across registers like the paper's
+// atomic registers (DESIGN.md §9); on x86 a read stays a plain load and a
+// write is one xchg (8 bytes) or a store + mfence (16 bytes).
 template <class T>
 class CASRegister {
  public:
   explicit CASRegister(T initial) : v_(initial) {
-    static_assert(std::atomic<T>::is_always_lock_free,
-                  "CASRegister requires a lock-free std::atomic<T>");
+    static_assert(std::atomic<T>::is_always_lock_free || sizeof(T) == 16,
+                  "CASRegister requires a lock-free std::atomic<T> or a "
+                  "16-byte T");
+    if constexpr (!std::atomic<T>::is_always_lock_free) {
+      static_assert(alignof(std::atomic<T>) == 16,
+                    "vmovdqa and cmpxchg16b need 16-byte alignment");
+      APRAM_CHECK_MSG(cpu_has_inline_dwcas(),
+                      "16-byte inline registers need an x86-64 CPU with "
+                      "cmpxchg16b and AVX; this CPU lacks one of them");
+    }
   }
 
   CASRegister(const CASRegister&) = delete;

@@ -83,7 +83,7 @@ class Context {
   // Atomic compare-and-swap: one step of the extended model (counted as one
   // write; traced as obs::EventKind::kCas). The comparison uses T's
   // operator==, which must identify distinct writes for ABA-freedom — see
-  // farray/farray.hpp's Stamped<T> for the standard recipe.
+  // api/backend.hpp's Stamped<T> for the standard recipe.
   template <class T>
   auto cas(Register<T>& reg, T expected, T desired) const;
 

@@ -52,7 +52,7 @@
 //
 // ABA discipline: every CAS-register value embeds a strictly increasing
 // `seq` and compares equal on `seq` alone (the Stamped idiom of
-// farray/farray.hpp), so a decision CAS whose expected value was ever
+// api/backend.hpp), so a decision CAS whose expected value was ever
 // overwritten fails forever — the property the wrap-up's "definitively did
 // not take effect" answers rely on.
 #pragma once

@@ -7,8 +7,8 @@
 // CAS, so rt.cas stays 0).
 //
 // Also here: RtBackend's register selection (word registers for integral
-// values of at most 8 bytes, VersionArena registers for everything else)
-// and the attach points the word registers keep.
+// values of at most 8 bytes and for Stamped<int64>, VersionArena registers
+// for everything else) and the attach points the word registers keep.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -20,7 +20,9 @@
 #include "api/sim_backend.hpp"
 #include "farray/farray.hpp"
 #include "fault/rt_inject.hpp"
+#include "lattice/lattice.hpp"
 #include "objects/fast_counter.hpp"
+#include "objects/polylog_queue.hpp"
 #include "objects/union_find.hpp"
 #include "obs/metrics.hpp"
 #include "rt/thread_harness.hpp"
@@ -28,11 +30,13 @@
 #include "snapshot/atomic_snapshot.hpp"
 #include "snapshot/baselines/afek_snapshot.hpp"
 #include "snapshot/baselines/double_collect.hpp"
+#include "snapshot/tree_snapshot.hpp"
 #include "universal2/counter_rep.hpp"
 
 namespace apram::parity {
 
-// Integral values of at most 8 bytes live inline in one std::atomic...
+// Integral values of at most 8 bytes, and the 16-byte unpadded
+// Stamped<int64> FArray nodes, live inline in one std::atomic...
 template <class T>
 constexpr bool kIsWord =
     std::is_same_v<api::RtBackend::Reg<T>, rt::CASRegister<T>> &&
@@ -41,13 +45,18 @@ static_assert(kIsWord<std::int32_t>);
 static_assert(kIsWord<std::int64_t>);
 static_assert(kIsWord<std::uint64_t>);
 static_assert(kIsWord<bool>);
+static_assert(kIsWord<farray::Stamped<std::int64_t>>);
+static_assert(kIsWord<farray::Stamped<std::uint64_t>>);
 
-// ...everything else stays on the bounded VersionArena registers.
+// ...everything else stays on the bounded VersionArena registers: padded
+// stamps (their padding would take part in a bitwise CAS) and stamps over
+// non-integral payloads.
 template <class T>
 constexpr bool kIsArena =
     std::is_same_v<api::RtBackend::Reg<T>, rt::SWMRRegister<T>> &&
     std::is_same_v<api::RtBackend::CasReg<T>, rt::CASValueRegister<T>>;
-static_assert(kIsArena<farray::Stamped<std::int64_t>>);
+static_assert(kIsArena<farray::Stamped<std::int32_t>>);
+static_assert(kIsArena<farray::Stamped<QueueChain>>);
 static_assert(kIsArena<universal2::CounterRep<api::RtBackend>::Cell>);
 static_assert(kIsArena<std::vector<std::int64_t>>);
 
@@ -208,6 +217,27 @@ TEST(WordRegister, InjectorFiresOnAccessButNeverOnHold) {
   EXPECT_EQ(s.allocated, 0u);
   EXPECT_EQ(s.live_versions(), 0u);
   EXPECT_EQ(mem.num_registers(), 2u);
+}
+
+// A TreeScan over int64 is all word registers now (int64 leaves, Stamped
+// nodes): after a contended threaded run nothing was ever versioned, so
+// every reclamation field is exactly zero, not merely bounded.
+TEST(WordRegister, TreeScanOverInt64OwnsNoVersions) {
+  constexpr int kThreads = 4;
+  snapshot::TreeScanRT<MaxLattice<std::int64_t>> tree(kThreads);
+  rt::parallel_run(kThreads, [&](int pid) {
+    for (std::int64_t i = 1; i <= 500; ++i) {
+      tree.update(pid, i * kThreads + pid);
+      if (i % 8 == 0) (void)tree.scan(pid);
+    }
+  });
+  EXPECT_EQ(tree.scan(0), 500 * kThreads + kThreads - 1);
+  const rt::reclaim::ReclaimStats s = tree.reclaim_stats();
+  EXPECT_EQ(s.allocated, 0u);
+  EXPECT_EQ(s.retired, 0u);
+  EXPECT_EQ(s.recycled, 0u);
+  EXPECT_EQ(s.acquire_contention, 0u);
+  EXPECT_EQ(s.live_versions(), 0u);
 }
 
 }  // namespace apram::parity

@@ -1,6 +1,7 @@
-// Real-thread runtime tests: SWMR register publication, snapshot scans under
-// concurrent updaters, FastCounterRT conservation, approximate agreement
-// with real threads, and the thread harness itself.
+// Real-thread runtime tests: SWMR register publication, the 16-byte inline
+// CAS register under contention, snapshot scans under concurrent updaters,
+// FastCounterRT conservation, approximate agreement with real threads, and
+// the thread harness itself.
 //
 // These run on however many hardware threads exist (including 1); they rely
 // on preemptive scheduling, not parallelism, so they are meaningful — if
@@ -14,6 +15,7 @@
 
 #include "agreement/approx_agreement.hpp"
 #include "agreement/approx_spec.hpp"
+#include "api/backend.hpp"
 #include "objects/fast_counter.hpp"
 #include "obs/metrics.hpp"
 #include "rt/reclaim.hpp"
@@ -120,6 +122,54 @@ TEST(CASValueRegister, SuccessfulSwapsRecycleSupersededVersions) {
   }
   EXPECT_EQ(reg.read(), 200);
   EXPECT_LE(reg.reclaim_stats().live_versions(), 2u);
+}
+
+// The 16-byte inline register under contention: four threads install
+// {seq+1, g(seq+1)} over the value they read while two readers check every
+// read. g is a bijection that spreads each seq over all 64 bits, so a torn
+// read (seq from one write, v from another) fails v == g(seq), and a CAS
+// that succeeded over a stale value would repeat a seq and leave the final
+// seq short of the number of successful CASes.
+TEST(CASRegister, StampedDoubleWordNeverTearsOrLosesACas) {
+  using Node = api::Stamped<std::int64_t>;
+  constexpr int kCasThreads = 4;
+  constexpr int kReaders = 2;
+  constexpr int kAttempts = 5000;
+  const auto g = [](std::uint64_t seq) {
+    return static_cast<std::int64_t>(seq * 0x9E3779B97F4A7C15ull);
+  };
+  CASRegister<Node> reg(Node{0, g(0)});
+  std::vector<std::uint64_t> wins(kCasThreads, 0);
+  std::vector<std::uint64_t> torn(kReaders, 0);
+  std::atomic<int> cas_threads_done{0};
+  parallel_run(kCasThreads + kReaders, [&](int pid) {
+    if (pid < kCasThreads) {
+      for (int i = 0; i < kAttempts; ++i) {
+        Node cur = reg.read();
+        if (reg.compare_exchange(cur, Node{cur.seq + 1, g(cur.seq + 1)})) {
+          ++wins[static_cast<std::size_t>(pid)];
+        }
+      }
+      cas_threads_done.fetch_add(1);
+      return;
+    }
+    std::uint64_t& bad = torn[static_cast<std::size_t>(pid - kCasThreads)];
+    std::uint64_t last = 0;
+    while (cas_threads_done.load() < kCasThreads) {
+      const Node n = reg.read();
+      if (n.v != g(n.seq) || n.seq < last) ++bad;
+      last = n.seq;
+    }
+  });
+  std::uint64_t total_wins = 0;
+  for (std::uint64_t w : wins) total_wins += w;
+  for (std::uint64_t b : torn) EXPECT_EQ(b, 0u);
+  const Node final_node = reg.read();
+  // A CAS fails only if a rival won since its read, and one win fails at
+  // most one pending attempt per other thread: wins >= attempts / 4.
+  EXPECT_GE(total_wins, static_cast<std::uint64_t>(kAttempts));
+  EXPECT_EQ(final_node.seq, total_wins);
+  EXPECT_EQ(final_node.v, g(final_node.seq));
 }
 
 TEST(ThreadHarness, PinningBeyondShardCapIsCountedNotSilent) {
