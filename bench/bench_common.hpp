@@ -8,7 +8,10 @@
 
 #include <cmath>
 #include <cstdint>
+#include <fstream>
 #include <iostream>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "agreement/approx_agreement.hpp"
@@ -24,32 +27,67 @@
 
 namespace apram::bench {
 
+// Host facts, read (never written) from /proc. Steal ticks count the time
+// the hypervisor ran another guest on this one's CPUs (the 8th field of
+// /proc/stat's "cpu" line, in USER_HZ); 0 where /proc/stat is unreadable.
+inline std::uint64_t host_steal_ticks() {
+  std::ifstream in("/proc/stat");
+  std::string cpu;
+  std::uint64_t fields[8] = {};
+  in >> cpu;
+  for (std::uint64_t& f : fields) in >> f;
+  return in && cpu == "cpu" ? fields[7] : 0;
+}
+
+inline std::string host_cpu_model() {
+  std::ifstream in("/proc/cpuinfo");
+  for (std::string line; std::getline(in, line);) {
+    const std::size_t colon = line.find(':');
+    if (line.rfind("model name", 0) == 0 && colon != std::string::npos) {
+      const std::size_t at = line.find_first_not_of(" \t", colon + 1);
+      return at == std::string::npos ? "" : line.substr(at);
+    }
+  }
+  return "unknown";
+}
+
 // Per-binary observability bundle: the registry every measurement flows
 // into, and the machine-readable JSON artifact CI asserts on. Construct it
 // right after Flags (it claims --metrics_out; pass --metrics_out= to
 // disable the artifact) and call emit() once at the end of run(). The
 // default path routes through obs::artifact_path ($APRAM_ARTIFACT_DIR,
 // else the binary's directory) so a source-dir invocation never litters
-// the tree; an explicit --metrics_out is taken verbatim.
+// the tree; an explicit --metrics_out is taken verbatim. The artifact
+// records its host: gauges "host.nproc" and "host.steal_ticks" (steal
+// ticks between construction and emit()), and the label "host.cpu_model".
+// On a box with fewer CPUs than threads, a row measures preemption, not
+// parallelism.
 class BenchObs {
  public:
   BenchObs(const std::string& bench_name, Flags& flags)
       : name_(bench_name),
         path_(flags.get_string(
             "metrics_out",
-            obs::artifact_path(bench_name + ".metrics.json"))) {}
+            obs::artifact_path(bench_name + ".metrics.json"))),
+        steal_begin_(host_steal_ticks()) {}
 
   obs::Registry& registry() { return registry_; }
 
   void emit(const obs::Tracer* tracer = nullptr) {
     if (path_.empty()) return;
-    obs::write_metrics_json(path_, registry_, tracer, name_);
+    registry_.gauge("host.nproc")
+        .set(static_cast<std::int64_t>(std::thread::hardware_concurrency()));
+    registry_.gauge("host.steal_ticks")
+        .set(static_cast<std::int64_t>(host_steal_ticks() - steal_begin_));
+    obs::write_metrics_json(path_, registry_, tracer, name_,
+                            {{"host.cpu_model", host_cpu_model()}});
     std::cout << "metrics artifact: " << path_ << "\n";
   }
 
  private:
   std::string name_;
   std::string path_;
+  std::uint64_t steal_begin_;
   obs::Registry registry_;
 };
 

@@ -98,17 +98,26 @@ constexpr std::uint64_t farray_write_max_accesses(int num_procs) {
 
 constexpr std::uint64_t farray_read_accesses() { return 1; }
 
-// The node-recompute hook: given the node's current value and the two child
-// values just read, produce the value to install. Pure combiners recompute
-// f(left, right) from scratch and ignore `cur`; order-accumulating clients
-// (the polylog queue's operation log) EXTEND `cur` with what the children
-// added. The helping lemma holds for any refresher — it argues about when
-// the child reads happened, never about the value computed from them.
+// The node-recompute hook: given the calling process, the node's current
+// value and the two child values just read, produce the value to install.
+// Pure combiners recompute f(left, right) from scratch and ignore the rest;
+// order-accumulating clients (the polylog queue's operation log) EXTEND
+// `cur` with what the children added, in storage owned by the caller's pid.
+// The helping lemma holds for any refresher — it argues about when the
+// child reads happened, never about the value computed from them.
 template <class R, class T>
-concept NodeRefresherFor = requires(const T& cur, T l, T r) {
+concept NodeRefresherFor = requires(R& r, int pid, const T& cur, T lv, T rv) {
   { R::identity() } -> std::convertible_to<T>;
-  { R::refresh(cur, std::move(l), std::move(r)) } -> std::convertible_to<T>;
+  {
+    r.refresh(pid, cur, std::move(lv), std::move(rv))
+  } -> std::convertible_to<T>;
 };
+
+// A refresher that hands out storage per install may take back the value of
+// a lost CAS, which no other process has seen: on_lost_cas(pid) follows
+// every failed CAS of the value pid's latest refresh() returned.
+template <class R>
+concept LostCasHookFor = requires(R& r, int pid) { r.on_lost_cas(pid); };
 
 // Refresher of a pure combiner: nodes hold f(subtree), recomputed from the
 // children on every install. Missing (padding) children fold as identity on
@@ -117,14 +126,15 @@ template <class T, class F>
   requires CombinerFor<F, T>
 struct CombineRefresh {
   static T identity() { return F::identity(); }
-  static T refresh(const T& /*cur*/, T l, T r) {
+  static T refresh(int /*pid*/, const T& /*cur*/, T l, T r) {
     return F::combine(std::move(l), std::move(r));
   }
 };
 
-// The tree machinery, parameterized over the refresher. Most users want the
-// FArray alias below; objects/polylog_queue.hpp instantiates this directly
-// with its log-appending refresher.
+// The tree machinery, parameterized over the refresher, of which it keeps
+// one instance built from the constructor's trailing arguments. Most users
+// want the FArray alias below; objects/polylog_queue.hpp instantiates this
+// directly with its log-appending refresher.
 //
 // Span discipline: write()/read_f() emit NO op spans of their own — the
 // client owns the op kind (kTreeUpdate, kEnqueue, …) and opens the span
@@ -141,7 +151,9 @@ class FArrayTree {
   template <class U>
   using Coro = typename B::template Coro<U>;
 
-  FArrayTree(typename B::Mem& mem, int num_procs) : n_(num_procs) {
+  template <class... RefresherArgs>
+  FArrayTree(typename B::Mem& mem, int num_procs, RefresherArgs&&... args)
+      : n_(num_procs), refresher_(std::forward<RefresherArgs>(args)...) {
     APRAM_CHECK(num_procs >= 1);
     m_ = 1;
     while (m_ < n_) m_ *= 2;
@@ -216,8 +228,12 @@ class FArrayTree {
           Node rs = co_await ctx.read(node(rc));
           rv = std::move(rs.v);
         }
-        Node next{cur.seq + 1, R::refresh(cur.v, std::move(lv), std::move(rv))};
+        Node next{cur.seq + 1,
+                  refresher_.refresh(p, cur.v, std::move(lv), std::move(rv))};
         bool ok = co_await ctx.cas(node(u), std::move(cur), std::move(next));
+        if constexpr (LostCasHookFor<R>) {
+          if (!ok) refresher_.on_lost_cas(p);
+        }
         if (ok) {
           installed = true;
           installed_attempt = attempt;
@@ -282,6 +298,7 @@ class FArrayTree {
   std::vector<typename B::template Reg<Value>*> leaves_;   // [n]
   std::vector<typename B::template CasReg<Node>*> nodes_;  // [m], 0 unused
   mutable obs::NodeContention contention_;  // cell u = node u, 0 unused
+  [[no_unique_address]] R refresher_;
 };
 
 // The public f-array: FArray<B, T, F> maintains f(leaf_0, …, leaf_{n-1})

@@ -42,12 +42,22 @@ void json_escape(std::ostream& os, const std::string& s) {
 }  // namespace
 
 void export_json(std::ostream& os, const Registry& reg, const Tracer* tracer,
-                 const std::string& name) {
+                 const std::string& name, const Labels& labels) {
   os << "{\n";
   if (!name.empty()) {
     os << "  \"name\": ";
     json_escape(os, name);
     os << ",\n";
+  }
+  if (!labels.empty()) {
+    os << "  \"labels\": {";
+    for (std::size_t i = 0; i < labels.size(); ++i) {
+      os << (i == 0 ? "\n" : ",\n") << "    ";
+      json_escape(os, labels[i].first);
+      os << ": ";
+      json_escape(os, labels[i].second);
+    }
+    os << "\n  },\n";
   }
 
   os << "  \"counters\": {";
@@ -122,10 +132,11 @@ std::string to_json(const Registry& reg, const Tracer* tracer,
 }
 
 void write_metrics_json(const std::string& path, const Registry& reg,
-                        const Tracer* tracer, const std::string& name) {
+                        const Tracer* tracer, const std::string& name,
+                        const Labels& labels) {
   std::ofstream out(path);
   APRAM_CHECK_MSG(out.good(), "cannot open metrics output file");
-  export_json(out, reg, tracer, name);
+  export_json(out, reg, tracer, name, labels);
   out.flush();
   APRAM_CHECK_MSG(out.good(), "metrics artifact write failed");
 }

@@ -5,6 +5,7 @@
 //
 //   {
 //     "name": "bench_e4_scan_ops",
+//     "labels":     { "host.cpu_model": "Intel(R) Xeon(R) ..." },  // if any
 //     "counters":   { "sim.reads.p0": 35, ... },
 //     "gauges":     { "e4.n": 6, ... },
 //     "histograms": { "rt.scan.ns": { "count": 10, "sum": 123,
@@ -21,6 +22,8 @@
 
 #include <iosfwd>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -28,11 +31,15 @@
 
 namespace apram::obs {
 
+// Free-form string facts about a run (the host's CPU model, say), written
+// as the "labels" object.
+using Labels = std::vector<std::pair<std::string, std::string>>;
+
 // Streams the registry (and optionally the tracer's surviving events) as one
 // JSON object.
 void export_json(std::ostream& os, const Registry& reg,
                  const Tracer* tracer = nullptr,
-                 const std::string& name = "");
+                 const std::string& name = "", const Labels& labels = {});
 
 std::string to_json(const Registry& reg, const Tracer* tracer = nullptr,
                     const std::string& name = "");
@@ -41,7 +48,8 @@ std::string to_json(const Registry& reg, const Tracer* tracer = nullptr,
 // missing metrics artifact must fail loudly in CI, not silently pass).
 void write_metrics_json(const std::string& path, const Registry& reg,
                         const Tracer* tracer = nullptr,
-                        const std::string& name = "");
+                        const std::string& name = "",
+                        const Labels& labels = {});
 
 // Resolves a BARE artifact filename to a directory that is not the caller's
 // cwd: $APRAM_ARTIFACT_DIR if set, else the running binary's directory

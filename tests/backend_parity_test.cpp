@@ -7,8 +7,9 @@
 // CAS, so rt.cas stays 0).
 //
 // Also here: RtBackend's register selection (word registers for integral
-// values of at most 8 bytes and for Stamped<int64>, VersionArena registers
-// for everything else) and the attach points the word registers keep.
+// values of at most 8 bytes, the queue's chain addresses among them, and for
+// Stamped<int64>, VersionArena registers for everything else) and the
+// attach points the word registers keep.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -47,6 +48,8 @@ static_assert(kIsWord<std::uint64_t>);
 static_assert(kIsWord<bool>);
 static_assert(kIsWord<farray::Stamped<std::int64_t>>);
 static_assert(kIsWord<farray::Stamped<std::uint64_t>>);
+static_assert(kIsWord<QueueChain>);
+static_assert(kIsWord<farray::Stamped<QueueChain>>);
 
 // ...everything else stays on the bounded VersionArena registers: padded
 // stamps (their padding would take part in a bitwise CAS) and stamps over
@@ -56,7 +59,6 @@ constexpr bool kIsArena =
     std::is_same_v<api::RtBackend::Reg<T>, rt::SWMRRegister<T>> &&
     std::is_same_v<api::RtBackend::CasReg<T>, rt::CASValueRegister<T>>;
 static_assert(kIsArena<farray::Stamped<std::int32_t>>);
-static_assert(kIsArena<farray::Stamped<QueueChain>>);
 static_assert(kIsArena<universal2::CounterRep<api::RtBackend>::Cell>);
 static_assert(kIsArena<std::vector<std::int64_t>>);
 
@@ -233,6 +235,31 @@ TEST(WordRegister, TreeScanOverInt64OwnsNoVersions) {
   });
   EXPECT_EQ(tree.scan(0), 500 * kThreads + kThreads - 1);
   const rt::reclaim::ReclaimStats s = tree.reclaim_stats();
+  EXPECT_EQ(s.allocated, 0u);
+  EXPECT_EQ(s.retired, 0u);
+  EXPECT_EQ(s.recycled, 0u);
+  EXPECT_EQ(s.acquire_contention, 0u);
+  EXPECT_EQ(s.live_versions(), 0u);
+}
+
+// The queue's chains are block addresses, so its leaves and nodes are word
+// registers too and it owns no versions either.
+TEST(WordRegister, PolylogQueueOwnsNoVersions) {
+  constexpr int kThreads = 4;
+  PolylogQueueRT queue(kThreads);
+  rt::parallel_run(kThreads, [&](int pid) {
+    for (std::int64_t i = 0; i < 500; ++i) {
+      if (i % 2 == 0) {
+        queue.enqueue(pid, pid * 1000 + i);
+      } else {
+        (void)queue.dequeue(pid);
+      }
+    }
+  });
+  int left = 0;
+  while (queue.dequeue(0) != -1) ++left;
+  EXPECT_EQ(left, 0);
+  const rt::reclaim::ReclaimStats s = queue.reclaim_stats();
   EXPECT_EQ(s.allocated, 0u);
   EXPECT_EQ(s.retired, 0u);
   EXPECT_EQ(s.recycled, 0u);

@@ -165,6 +165,18 @@ TEST(Export, JsonCarriesThePinningDegradedGauge) {
   EXPECT_NE(json.find("\"obs.pinning_degraded\": "), std::string::npos);
 }
 
+TEST(Export, JsonCarriesEscapedLabelsOnlyWhenGiven) {
+  Registry reg;
+  std::ostringstream with;
+  export_json(with, reg, nullptr, "unit",
+              {{"host.cpu_model", "Xeon \"E5\""}});
+  EXPECT_NE(with.str().find("  \"labels\": {\n"
+                            "    \"host.cpu_model\": \"Xeon \\\"E5\\\"\"\n"
+                            "  },\n"),
+            std::string::npos);
+  EXPECT_EQ(to_json(reg, nullptr, "unit").find("labels"), std::string::npos);
+}
+
 // ------------------------------------------------------------------ trace --
 
 TEST(Trace, RecordsEventsInOrder) {

@@ -4,8 +4,9 @@
 //   queue: sequential FIFO semantics, exact solo step counts (enqueue
 //   1 + 4h, dequeue 2 + 4h), linearizability against QueueSpec under random
 //   schedules, exhaustive n = 2 enumeration with a per-schedule lincheck,
-//   a seeded fault campaign (crash the helper mid-refresh), and an rt
-//   multi-thread smoke with per-producer FIFO order.
+//   a seeded fault campaign (crash the helper mid-refresh), an rt
+//   multi-thread smoke with per-producer FIFO order, and an rt churn that
+//   crosses block-pool chunks and loses CASes.
 //
 //   union-find: agreement with the sequential oracle on the full same-set
 //   matrix, linearizability of unite/find/same_set against UnionFindSpec,
@@ -27,12 +28,14 @@
 #include "api/rt_backend.hpp"
 #include "api/sim_backend.hpp"
 #include "fault/certifier.hpp"
+#include "fault/rt_inject.hpp"
 #include "fault_seeds.hpp"
 #include "lincheck/checker.hpp"
 #include "lincheck/history.hpp"
 #include "objects/polylog_queue.hpp"
 #include "objects/specs.hpp"
 #include "objects/union_find.hpp"
+#include "obs/metrics.hpp"
 #include "rt/thread_harness.hpp"
 #include "sim/explore.hpp"
 #include "sim/scheduler.hpp"
@@ -256,6 +259,22 @@ TEST(PolylogQueueFault, CampaignCertifiesLogarithmicStepBounds) {
 }
 
 // ---------------------------------------------------------------------------
+// A consumer's successive dequeues follow the linearization order, so the
+// values it took from any single producer (value / stride) must ascend.
+void expect_per_producer_fifo(const std::vector<std::int64_t>& seq,
+                              std::int64_t stride) {
+  std::map<std::int64_t, std::int64_t> last_of;  // producer -> last value
+  for (const std::int64_t v : seq) {
+    const std::int64_t producer = v / stride;
+    const auto it = last_of.find(producer);
+    if (it != last_of.end()) {
+      EXPECT_LT(it->second, v);
+    }
+    last_of[producer] = v;
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Queue: rt smoke — producers/consumers on real threads; every value is
 // dequeued exactly once and per-producer FIFO order is preserved.
 // ---------------------------------------------------------------------------
@@ -296,22 +315,66 @@ TEST(PolylogQueueRt, ThreadsPreservePerProducerFifoAndLoseNothing) {
     }
   }
 
-  // A consumer's successive dequeues follow the linearization order, so the
-  // values it took from any single producer must be ascending; the drain is
-  // one more consumer sequence.
-  const auto check_per_producer_order = [&](const std::vector<std::int64_t>& seq) {
-    std::map<std::int64_t, std::int64_t> last_of;  // producer -> last value
-    for (const std::int64_t v : seq) {
-      const std::int64_t producer = v / 1000;
-      const auto it = last_of.find(producer);
-      if (it != last_of.end()) {
-        EXPECT_LT(it->second, v);
+  for (const auto& per_pid : popped) expect_per_producer_fifo(per_pid, 1000);
+  expect_per_producer_fifo(drained, 1000);
+}
+
+// Queue: rt churn — enough operations per thread to fill several of each
+// process's 64 KiB block-pool chunks, with yields at register accesses so
+// that CASes lose (and their blocks go back to the pools) even on one core.
+TEST(PolylogQueueRt, ChurnAcrossPoolChunksDeliversEachValueOnceInOrder) {
+  const int n = 4;
+  const int kOpsPerThread = 6000;
+  const std::int64_t kStride = 1'000'000;
+  PolylogQueueRT q(n);
+  obs::Registry registry;
+  q.attach_obs(registry, "queue");
+  fault::RtInjectOptions opts;
+  opts.yield_prob = 0.02;
+  opts.seed = 11;
+  opts.num_pids = n;
+  fault::RtInjector injector(opts);
+  q.attach_injector(&injector);
+
+  std::vector<std::vector<std::int64_t>> popped(static_cast<std::size_t>(n));
+  std::vector<std::int64_t> produced(static_cast<std::size_t>(n), 0);
+  rt::parallel_run(n, [&](int pid) {
+    const auto p = static_cast<std::size_t>(pid);
+    Rng rng(0x9e00 + p);
+    for (int i = 0; i < kOpsPerThread; ++i) {
+      if (rng.below(2) == 0) {
+        q.enqueue(pid, pid * kStride + produced[p]++);
+      } else if (const std::int64_t v = q.dequeue(pid); v != -1) {
+        popped[p].push_back(v);
       }
-      last_of[producer] = v;
     }
-  };
-  for (const auto& per_pid : popped) check_per_producer_order(per_pid);
-  check_per_producer_order(drained);
+  });
+  q.attach_injector(nullptr);
+  EXPECT_GT(registry.counter("rt.queue.cas_fail").value(), 0u);
+
+  std::vector<std::int64_t> drained;
+  for (std::int64_t v = q.dequeue(0); v != -1; v = q.dequeue(0)) {
+    drained.push_back(v);
+  }
+  EXPECT_EQ(q.dequeue(1), -1);
+
+  // Exactly once: the delivered values are exactly the enqueued ones.
+  std::vector<std::int64_t> all = drained;
+  for (const auto& per_pid : popped) {
+    all.insert(all.end(), per_pid.begin(), per_pid.end());
+  }
+  std::sort(all.begin(), all.end());
+  std::vector<std::int64_t> expected;
+  for (int pid = 0; pid < n; ++pid) {
+    for (std::int64_t k = 0; k < produced[static_cast<std::size_t>(pid)];
+         ++k) {
+      expected.push_back(pid * kStride + k);
+    }
+  }
+  EXPECT_EQ(all, expected);
+
+  for (const auto& per_pid : popped) expect_per_producer_fifo(per_pid, kStride);
+  expect_per_producer_fifo(drained, kStride);
 }
 
 // ---------------------------------------------------------------------------
