@@ -41,10 +41,10 @@ int run(int argc, char** argv) {
   flags.check_unused();
 
   // ---- (a) rt register: injector cost at the access boundary ------------
-  Table rt_table("F1a: rt SWMR register write cost (single writer thread)",
+  Table rt_table("F1a: rt arena register write cost (single writer thread)",
                  {"configuration", "ns/op"});
   {
-    rt::SWMRRegister<std::uint64_t> reg(0);
+    rt::ArenaRegister<std::uint64_t> reg(0);
     double ns = 0;
     rt::parallel_run(1, [&](int) {
       ns = ns_per_op([&] { for (std::uint64_t i = 0; i < ops; ++i) reg.write(i); },
@@ -53,7 +53,7 @@ int run(int argc, char** argv) {
     rt_table.add("no injector").add(ns, 2).end_row();
   }
   {
-    rt::SWMRRegister<std::uint64_t> reg(0);
+    rt::ArenaRegister<std::uint64_t> reg(0);
     fault::RtInjector inj(fault::RtInjectOptions{});  // attached, all-zero
     reg.attach_injector(&inj);
     double ns = 0;
@@ -64,7 +64,7 @@ int run(int argc, char** argv) {
     rt_table.add("injector idle").add(ns, 2).end_row();
   }
   {
-    rt::SWMRRegister<std::uint64_t> reg(0);
+    rt::ArenaRegister<std::uint64_t> reg(0);
     fault::RtInjectOptions opts;
     opts.yield_prob = 0.1;
     fault::RtInjector inj(opts);

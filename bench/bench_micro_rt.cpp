@@ -1,5 +1,5 @@
 // Micro-benchmarks (google-benchmark) for the real-thread runtime: register
-// read/write/CAS latency (arena, word and double-word registers), snapshot
+// read/write/CAS latency (word and double-word registers), snapshot
 // scan/update latency vs n, counter ops.
 // Single-threaded latency numbers — the multi-thread throughput shapes live
 // in bench_e5_snapshot_compare.
@@ -27,28 +27,10 @@ obs::Registry& bench_registry() {
   return reg;
 }
 
-void BM_RegisterRead(benchmark::State& state) {
-  SWMRRegister<std::int64_t> reg(42);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(reg.read());
-  }
-}
-BENCHMARK(BM_RegisterRead);
-
-void BM_RegisterWrite(benchmark::State& state) {
-  SWMRRegister<std::int64_t> reg(0);
-  std::int64_t i = 0;
-  for (auto _ : state) {
-    reg.write(++i);
-  }
-}
-BENCHMARK(BM_RegisterWrite);
-
 // Word registers: the std::atomic register api::RtBackend selects for
-// integral values of at most 8 bytes. Each BM_*Word row sits beside the
-// arena row of the same access, so the arena's price — the acquire/release
-// read (one fetch_add + one fetch_sub on top of the copy), the
-// alloc/publish/transfer write — reads off directly.
+// integral values of at most 8 bytes. The arena register's read, write and
+// CAS are priced by perfbench's cost ladder (rt.reg_read_ns,
+// rt.reg_write_ns, rt.reg_cas_ns), not here.
 void BM_RegisterReadWord(benchmark::State& state) {
   CASRegister<std::int64_t> reg(42);
   for (auto _ : state) {
@@ -66,22 +48,11 @@ void BM_RegisterWriteWord(benchmark::State& state) {
 }
 BENCHMARK(BM_RegisterWriteWord);
 
-void BM_CasRegisterSwapBounded(benchmark::State& state) {
-  BoundedCASValueRegister<std::int64_t> reg(1, 0);
-  std::int64_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(reg.compare_exchange(0, i, i + 1));
-    ++i;
-  }
-}
-BENCHMARK(BM_CasRegisterSwapBounded);
-
 void BM_CasRegisterSwapWord(benchmark::State& state) {
   CASRegister<std::int64_t> reg(0);
   std::int64_t i = 0;
   for (auto _ : state) {
-    std::int64_t expected = i;
-    benchmark::DoNotOptimize(reg.compare_exchange(expected, i + 1));
+    benchmark::DoNotOptimize(reg.compare_exchange(0, i, i + 1));
     ++i;
   }
 }
@@ -91,7 +62,7 @@ BENCHMARK(BM_CasRegisterSwapWord);
 // Stamped<int64> FArray node, which api::RtBackend also keeps inline. Each
 // access is a libatomic __atomic_*_16 call (vmovdqa load, vmovdqa + mfence
 // store, lock cmpxchg16b CAS), so the delta against the *Word rows is the
-// call and the wider access; against the arena rows, the refcounts saved.
+// call and the wider access.
 using StampedNode = api::Stamped<std::int64_t>;
 
 void BM_RegisterReadStamped(benchmark::State& state) {
@@ -116,24 +87,24 @@ void BM_CasRegisterSwapStamped(benchmark::State& state) {
   CASRegister<StampedNode> reg(StampedNode{});
   std::uint64_t i = 0;
   for (auto _ : state) {
-    StampedNode expected{i, static_cast<std::int64_t>(i)};
     benchmark::DoNotOptimize(reg.compare_exchange(
-        expected, StampedNode{i + 1, static_cast<std::int64_t>(i + 1)}));
+        0, StampedNode{i, static_cast<std::int64_t>(i)},
+        StampedNode{i + 1, static_cast<std::int64_t>(i + 1)}));
     ++i;
   }
 }
 BENCHMARK(BM_CasRegisterSwapStamped);
 
-// Same register paths with an obs::RtProbe attached: the delta against
-// BM_RegisterRead/Write is the cost of the one-relaxed-fetch_add hot path
-// (the budget documented in DESIGN.md).
+// Same word register paths with an obs::RtProbe attached: the delta against
+// BM_RegisterReadWord/WriteWord is the cost of the one-relaxed-fetch_add
+// hot path (the budget documented in DESIGN.md).
 void BM_RegisterReadProbed(benchmark::State& state) {
   auto& reg = bench_registry();
   obs::RtProbe probe{.reads = &reg.counter("micro.probed.reads"),
                      .writes = &reg.counter("micro.probed.writes"),
                      .cas_ops = &reg.counter("micro.probed.cas"),
                      .object = 0};
-  SWMRRegister<std::int64_t> r(42);
+  CASRegister<std::int64_t> r(42);
   r.attach_probe(&probe);
   for (auto _ : state) {
     benchmark::DoNotOptimize(r.read());
@@ -147,7 +118,7 @@ void BM_RegisterWriteProbed(benchmark::State& state) {
                      .writes = &reg.counter("micro.probed.writes"),
                      .cas_ops = &reg.counter("micro.probed.cas"),
                      .object = 0};
-  SWMRRegister<std::int64_t> r(0);
+  CASRegister<std::int64_t> r(0);
   r.attach_probe(&probe);
   std::int64_t i = 0;
   for (auto _ : state) {

@@ -43,11 +43,12 @@ int main() {
   // Consistent path: both tallies live in ONE snapshot slot per worker.
   rt::AtomicSnapshotRT<Tally> snapshot(kWorkers + 1);  // +1 = observer slot
   // Naive path: two separate registers per worker.
-  std::vector<std::unique_ptr<rt::SWMRRegister<std::int64_t>>> admitted_reg;
-  std::vector<std::unique_ptr<rt::SWMRRegister<std::int64_t>>> completed_reg;
+  using Reg = rt::ArenaRegister<std::int64_t>;
+  std::vector<std::unique_ptr<Reg>> admitted_reg;
+  std::vector<std::unique_ptr<Reg>> completed_reg;
   for (int i = 0; i < kWorkers; ++i) {
-    admitted_reg.push_back(std::make_unique<rt::SWMRRegister<std::int64_t>>(0));
-    completed_reg.push_back(std::make_unique<rt::SWMRRegister<std::int64_t>>(0));
+    admitted_reg.push_back(std::make_unique<Reg>(0));
+    completed_reg.push_back(std::make_unique<Reg>(0));
   }
 
   std::atomic<bool> done{false};

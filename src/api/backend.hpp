@@ -25,6 +25,8 @@
 //                          stable for the Mem's lifetime.
 //   B::Reg<T>            — single-writer multi-reader register handle.
 //   B::CasReg<T>         — multi-writer register with compare-and-swap.
+//                          Both backends make it the same type as Reg<T>;
+//                          make() and make_cas() differ in the writers.
 //   B::Coro<T>           — the coroutine return type algorithms use.
 //
 // The two implementations:

@@ -16,12 +16,14 @@
 // comparing against sim StepCounts, where a CAS counts as one write).
 // Attach after construction, before concurrent use.
 //
-// Register selection (kWordRegister below): a value of integral type of at
-// most 8 bytes, or a Stamped<U> of an 8-byte integral U (16 bytes, no
-// padding), fits one atomic instruction, so Reg<T> and CasReg<T> are then
-// rt::CASRegister<T> — a plain std::atomic<T>, no version arena, no
-// refcount traffic. Every other T (arrays, other records, vectors) stays
-// on the bounded VersionArena registers. DESIGN.md §9 gives the argument.
+// Register selection (kWordRegister below): Reg<T> and CasReg<T> are one
+// type, as in SimBackend. A value of integral type of at most 8 bytes, or a
+// Stamped<U> of an 8-byte integral U (16 bytes, no padding), fits one
+// atomic instruction and lives inline in rt::CASRegister<T>: a plain
+// std::atomic<T>, no version arena, no refcount traffic. Every other T
+// (arrays, other records, vectors) lives in rt::ArenaRegister<T>. make()
+// builds a one-writer register, make_cas() one with a writer per process.
+// DESIGN.md §9 gives the argument.
 #pragma once
 
 #include <coroutine>
@@ -81,10 +83,9 @@ inline constexpr bool kWordRegister<Stamped<U>> =
 struct RtBackend {
   template <class T>
   using Reg = std::conditional_t<kWordRegister<T>, rt::CASRegister<T>,
-                                 rt::SWMRRegister<T>>;
+                                 rt::ArenaRegister<T>>;
   template <class T>
-  using CasReg = std::conditional_t<kWordRegister<T>, rt::CASRegister<T>,
-                                    rt::CASValueRegister<T>>;
+  using CasReg = Reg<T>;
   template <class T>
   using Coro = EagerCoro<T>;
 
@@ -94,47 +95,25 @@ struct RtBackend {
 
     int pid() const { return pid_; }
 
-    template <class T>
-    auto read(const rt::SWMRRegister<T>& reg) const {
-      return detail::ReadyAwaiter<T>{reg.read()};
-    }
-
-    template <class T>
-    auto read(const rt::CASValueRegister<T>& reg) const {
-      return detail::ReadyAwaiter<T>{reg.read()};
+    template <class R>
+    auto read(const R& reg) const {
+      return detail::ReadyAwaiter<typename R::value_type>{reg.read()};
     }
 
     // Single-writer discipline is by convention here (the sim backend
     // enforces it and aborts; running the same algorithm there first is the
     // cheap way to check).
-    template <class T>
-    auto write(rt::SWMRRegister<T>& reg, T value) const {
+    template <class R>
+    auto write(R& reg, typename R::value_type value) const {
       reg.write(std::move(value));
       return detail::ReadyVoidAwaiter{};
     }
 
-    template <class T>
-    auto cas(rt::CASValueRegister<T>& reg, T expected, T desired) const {
+    template <class R>
+    auto cas(R& reg, typename R::value_type expected,
+             typename R::value_type desired) const {
       const bool ok =
           reg.compare_exchange(pid_, expected, std::move(desired));
-      return detail::ReadyAwaiter<bool>{ok};
-    }
-
-    // Word registers (kWordRegister<T>): one atomic load / store / CAS.
-    template <class T>
-    auto read(const rt::CASRegister<T>& reg) const {
-      return detail::ReadyAwaiter<T>{reg.read()};
-    }
-
-    template <class T>
-    auto write(rt::CASRegister<T>& reg, T value) const {
-      reg.write(value);
-      return detail::ReadyVoidAwaiter{};
-    }
-
-    template <class T>
-    auto cas(rt::CASRegister<T>& reg, T expected, T desired) const {
-      const bool ok = reg.compare_exchange(expected, desired);
       return detail::ReadyAwaiter<bool>{ok};
     }
 
@@ -168,11 +147,7 @@ struct RtBackend {
 
     template <class T>
     CasReg<T>& make_cas(const std::string& name, T initial) {
-      if constexpr (kWordRegister<T>) {
-        return add<CasReg<T>>(name, initial);
-      } else {
-        return add<CasReg<T>>(name, num_procs_, std::move(initial));
-      }
+      return add<CasReg<T>>(name, num_procs_, std::move(initial));
     }
 
     // Instruments every register created so far: aggregate counters
@@ -194,14 +169,14 @@ struct RtBackend {
         h.probe.cas_failures = cas_fail;
         h.probe.tracer = tracer;
         h.probe.object = static_cast<std::int32_t>(i);
-        h.attach_probe(&h.probe);
+        h.hooks().attach_probe(&h.probe);
       }
     }
 
     // Attaches a fault injector to every register created so far (see
     // fault/rt_inject.hpp); nullptr detaches. Attach before concurrent use.
     void attach_injector(fault::RtInjector* injector) {
-      for (auto& h : holders_) h->attach_injector(injector);
+      for (auto& h : holders_) h->hooks().attach_injector(injector);
     }
 
     // Reclamation accounting summed over every register in this Mem (exact
@@ -243,8 +218,7 @@ struct RtBackend {
     struct HolderBase {
       explicit HolderBase(std::string n) : name(std::move(n)) {}
       virtual ~HolderBase() = default;
-      virtual void attach_probe(const obs::RtProbe* p) = 0;
-      virtual void attach_injector(fault::RtInjector* inj) = 0;
+      virtual rt::RegisterHooks& hooks() = 0;
       virtual rt::reclaim::ReclaimStats reclaim_stats() const = 0;
 
       std::string name;
@@ -256,12 +230,7 @@ struct RtBackend {
       template <class... Args>
       explicit Holder(std::string n, Args&&... args)
           : HolderBase(std::move(n)), reg(std::forward<Args>(args)...) {}
-      void attach_probe(const obs::RtProbe* p) override {
-        reg.attach_probe(p);
-      }
-      void attach_injector(fault::RtInjector* inj) override {
-        reg.attach_injector(inj);
-      }
+      rt::RegisterHooks& hooks() override { return reg; }
       rt::reclaim::ReclaimStats reclaim_stats() const override {
         return reg.reclaim_stats();
       }

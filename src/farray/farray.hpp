@@ -23,7 +23,7 @@
 // (cur), reads both children, and CASes {cur.seq+1, f(children)} over cur.
 // Stamped equality compares seq only; every successful CAS installs a fresh
 // seq, so value-equality identifies writes and the CAS is ABA-free (what
-// CASValueRegister's pointer swap and the simulator's operator== CAS both
+// the rt registers' value CAS and the simulator's operator== CAS both
 // require).
 //
 // Double-refresh helping lemma (why TWO attempts per node suffice, for ANY

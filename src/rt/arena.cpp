@@ -15,9 +15,8 @@ namespace apram::rt {
 
 template class reclaim::VersionArena<int>;
 template class reclaim::VersionArena<std::vector<std::uint64_t>>;
-template class BoundedSWMRRegister<int>;
-template class BoundedSWMRRegister<std::vector<std::uint64_t>>;
-template class BoundedCASValueRegister<std::vector<std::uint64_t>>;
+template class ArenaRegister<int>;
+template class ArenaRegister<std::vector<std::uint64_t>>;
 
 namespace {
 

@@ -167,6 +167,7 @@ class VersionArena {
   // constructs the value in place. Caller must be thread `writer` — each
   // free list has a single consumer, which is what makes its pop ABA-safe.
   std::uint32_t alloc(int writer, T v) {
+    APRAM_CHECK(writer >= 0 && writer < num_writers_);
     std::uint32_t idx = pop_free(writer);
     if (idx == kNilSlot) idx = fresh_slot();
     Slot& s = slot_at(idx);

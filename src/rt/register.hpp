@@ -1,41 +1,48 @@
 // Real-thread atomic registers (the `apram::rt` runtime).
 //
-// The paper's model assumes atomic registers large enough to hold whole
-// arrays ("numerous techniques exist for constructing large atomic registers
-// from smaller ones"). On real hardware we realize an arbitrarily large
-// single-writer multi-reader atomic register by publishing immutable
-// versions through one atomic word. The versions live in an
-// rt::reclaim::VersionArena — a 64-bit control word packing {acquire count,
-// arena slot}, wait-free reader acquire/release, publication with count
-// transfer, failed-CAS cleanup, and per-writer free-list recycling. Memory
-// is proportional to concurrent holders, never to write count. See
-// rt/reclaim.hpp for the protocol and safety argument. Values of at most a
-// word, and 16-byte Stamped<int64> records, skip the arena: CASRegister
-// below is one std::atomic<T>.
+// One register interface over two storages, as the paper has one kind of
+// object, the atomic register, and assumes registers large enough to hold
+// whole arrays ("numerous techniques exist for constructing large atomic
+// registers from smaller ones"). Both classes below offer
 //
-// Reads return BY VALUE (the copy happens while the version is held; the
-// reader then releases it). The read path is wait-free: one fetch_add plus
-// one fetch_sub.
+//   read()                                   any thread
+//   write(v)                                 the register's single writer
+//   compare_exchange(pid, expected, desired) any of its writers, as pid
 //
-// Every register carries an optional apram::obs probe (attach_probe):
-// unattached, an access pays one relaxed pointer load and a predictable
-// branch; attached, each access is counted (relaxed fetch_add) and — when
-// the calling thread has a model pid — traced with an rt timestamp.
+// and are built from (initial) for one writer or (num_writers, initial).
+// A CAS compares the current value with `expected` by T's operator==,
+// which must identify distinct writes (api::Stamped in api/backend.hpp).
 //
-// They also carry an optional apram::fault::RtInjector (attach_injector)
-// that fires BEFORE the access takes effect — the injection point is the
-// access boundary, the only place the model lets an adversary act. The
-// arena registers add a second injection point, on_hold(), between a
-// reader's acquire and its dereference: stalling there keeps a version
-// pinned while writers churn, which is exactly the window a reclamation bug
-// would need to free a held version (tests/rt_reclaim_test.cpp proves it
-// cannot). The unattached cost is the same one relaxed load + branch.
+//   CASRegister<T>    inline: one std::atomic<T>. For values of at most a
+//                     word and 16-byte Stamped<int64> records (selection:
+//                     api::kWordRegister). Nothing is versioned; pid is
+//                     unused.
+//   ArenaRegister<T>  any T: immutable versions published through one
+//                     control word of an rt::reclaim::VersionArena, which
+//                     keeps memory proportional to concurrent holders,
+//                     never to write count (rt/reclaim.hpp has the
+//                     protocol and safety argument). pid picks the free
+//                     list a CAS allocates from; write() uses writer 0's.
+//
+// Reads return BY VALUE and are wait-free: an inline read is one load, an
+// arena read one fetch_add (acquire), the copy and one fetch_sub (release).
+//
+// Both carry RegisterHooks: an optional apram::obs probe (attach_probe)
+// that counts each access (relaxed fetch_add) and, when the calling thread
+// has a model pid, traces it with an rt timestamp; and an optional
+// apram::fault::RtInjector (attach_injector) that fires BEFORE the access
+// takes effect, the access boundary being the only place the model lets an
+// adversary act. Unattached, each costs one relaxed pointer load and a
+// predictable branch. The arena register adds a second injection point,
+// on_hold(), between a reader's acquire and its dereference: stalling there
+// keeps a version pinned while writers churn, which is exactly the window a
+// reclamation bug would need to free a held version
+// (tests/rt_reclaim_test.cpp proves it cannot).
 #pragma once
 
 #include <atomic>
-#include <cstddef>
+#include <cstdint>
 #include <utility>
-#include <vector>
 
 #if defined(__x86_64__)
 #include <cpuid.h>
@@ -48,56 +55,15 @@
 
 namespace apram::rt {
 
-// ---------------------------------------------------------------------------
-// Bounded-memory registers: VersionArena underneath.
-// ---------------------------------------------------------------------------
-
-template <class T>
-class BoundedSWMRRegister {
+// The probe and injector attach points every register carries, and the
+// hook calls its accesses make. They are forced inline, with the attached
+// branch marked cold: unattached, each is one relaxed load and a
+// not-taken branch at the access site, where GCC's size heuristics would
+// otherwise leave some as calls inside large coroutine frames.
+class RegisterHooks {
  public:
-  explicit BoundedSWMRRegister(T initial) : arena_(1, std::move(initial)) {}
-
-  BoundedSWMRRegister(const BoundedSWMRRegister&) = delete;
-  BoundedSWMRRegister& operator=(const BoundedSWMRRegister&) = delete;
-
-  // Any thread. Wait-free: one fetch_add (acquire), copy, one fetch_sub
-  // (release). The returned value is the caller's own copy.
-  T read() const {
-    if (fault::RtInjector* inj = injector_.load(std::memory_order_relaxed)) {
-      inj->on_access();
-    }
-    const auto ref = arena_.acquire();
-    if (fault::RtInjector* inj = injector_.load(std::memory_order_relaxed)) {
-      inj->on_hold();
-    }
-    T v = arena_.get(ref);
-    arena_.release(ref);
-    if (const obs::RtProbe* p = probe_.load(std::memory_order_relaxed)) {
-      p->on_read();
-    }
-    return v;
-  }
-
-  // Owner thread only (single writer). Wait-free: allocate (own free list),
-  // one exchange to install, one fetch_add to transfer the old version's
-  // acquire count.
-  void write(T v) {
-    if (fault::RtInjector* inj = injector_.load(std::memory_order_relaxed)) {
-      inj->on_access();
-    }
-    arena_.publish(arena_.alloc(0, std::move(v)));
-    if (const obs::RtProbe* p = probe_.load(std::memory_order_relaxed)) {
-      p->on_write();
-    }
-  }
-
-  // Space diagnostics: number of values ever written (incl. the initial).
-  // Monotone even though slots recycle.
-  std::size_t versions() const {
-    return static_cast<std::size_t>(arena_.stats().allocated);
-  }
-
-  reclaim::ReclaimStats reclaim_stats() const { return arena_.stats(); }
+  RegisterHooks(const RegisterHooks&) = delete;
+  RegisterHooks& operator=(const RegisterHooks&) = delete;
 
   // The probe must outlive the register (or a detaching attach_probe(nullptr)
   // call). Attach before concurrent use begins; the pointer itself is atomic,
@@ -112,61 +78,79 @@ class BoundedSWMRRegister {
     injector_.store(injector, std::memory_order_release);
   }
 
+ protected:
+  RegisterHooks() = default;
+  ~RegisterHooks() = default;
+
+  [[gnu::always_inline]] void on_access() const {
+    fault::RtInjector* inj = injector_.load(std::memory_order_relaxed);
+    if (inj != nullptr) [[unlikely]] inj->on_access();
+  }
+  [[gnu::always_inline]] void on_hold() const {
+    fault::RtInjector* inj = injector_.load(std::memory_order_relaxed);
+    if (inj != nullptr) [[unlikely]] inj->on_hold();
+  }
+  [[gnu::always_inline]] void on_read() const {
+    const obs::RtProbe* p = probe_.load(std::memory_order_relaxed);
+    if (p != nullptr) [[unlikely]] p->on_read();
+  }
+  [[gnu::always_inline]] void on_write() const {
+    const obs::RtProbe* p = probe_.load(std::memory_order_relaxed);
+    if (p != nullptr) [[unlikely]] p->on_write();
+  }
+  [[gnu::always_inline]] void on_cas(bool ok) const {
+    const obs::RtProbe* p = probe_.load(std::memory_order_relaxed);
+    if (p != nullptr) [[unlikely]] p->on_cas(ok);
+  }
+
  private:
-  mutable reclaim::VersionArena<T> arena_;
   std::atomic<const obs::RtProbe*> probe_{nullptr};
   std::atomic<fault::RtInjector*> injector_{nullptr};
 };
 
-// Multi-writer register with value-compared compare-and-swap over
-// arbitrarily large values, on the arena. compare_exchange compares the
-// CURRENT VALUE with T's operator== — which must identify distinct writes
-// (distinct published values never compare equal; api::Stamped<T> in
-// api/backend.hpp is the standard recipe) — and succeeds via a CAS on the
-// arena control word. The caller's own acquire pins the expected
-// version, so the control-word compare cannot ABA (a held slot cannot be
-// retired, hence cannot be reallocated and re-published). A loser returns
-// its prepared slot to the free list immediately (failed-CAS cleanup).
+// The arena register. A CAS succeeds via a CAS on the arena control word;
+// the caller's own acquire pins the expected version, so that compare
+// cannot ABA (a held slot cannot be retired, hence cannot be reallocated
+// and re-published). A loser returns its prepared slot to the free list
+// immediately (failed-CAS cleanup).
 template <class T>
-class BoundedCASValueRegister {
+class ArenaRegister : public RegisterHooks {
  public:
-  BoundedCASValueRegister(int num_writers, T initial)
-      : arena_(num_writers, std::move(initial)) {
-    APRAM_CHECK(num_writers >= 1);
-  }
+  using value_type = T;
 
-  BoundedCASValueRegister(const BoundedCASValueRegister&) = delete;
-  BoundedCASValueRegister& operator=(const BoundedCASValueRegister&) = delete;
+  explicit ArenaRegister(T initial) : ArenaRegister(1, std::move(initial)) {}
+  ArenaRegister(int num_writers, T initial)
+      : arena_(num_writers, std::move(initial)) {}
 
-  // Any thread. Wait-free: acquire, copy, release.
+  // Wait-free: one fetch_add (acquire), copy, one fetch_sub (release). The
+  // returned value is the caller's own copy.
   T read() const {
-    if (fault::RtInjector* inj = injector_.load(std::memory_order_relaxed)) {
-      inj->on_access();
-    }
+    on_access();
     const auto ref = arena_.acquire();
-    if (fault::RtInjector* inj = injector_.load(std::memory_order_relaxed)) {
-      inj->on_hold();
-    }
+    on_hold();
     T v = arena_.get(ref);
     arena_.release(ref);
-    if (const obs::RtProbe* p = probe_.load(std::memory_order_relaxed)) {
-      p->on_read();
-    }
+    on_read();
     return v;
   }
 
-  // One atomic step by thread `pid`: if the current value equals `expected`
-  // (T's operator==), install `desired` and return true. The reader-side
-  // hold is released AFTER the install attempt (the ATOMSNAP CAS-ordering
-  // rule): the hold is what makes the install ABA-free.
+  // Single writer only: allocates from writer 0's free list. Wait-free:
+  // one exchange to install, one fetch_add to transfer the old version's
+  // acquire count.
+  void write(T v) {
+    on_access();
+    arena_.publish(arena_.alloc(0, std::move(v)));
+    on_write();
+  }
+
+  // One atomic step by writer `pid`: if the current value equals `expected`,
+  // install `desired` and return true. The reader-side hold is released
+  // AFTER the install attempt (the ATOMSNAP CAS-ordering rule): the hold is
+  // what makes the install ABA-free.
   bool compare_exchange(int pid, const T& expected, T desired) {
-    if (fault::RtInjector* inj = injector_.load(std::memory_order_relaxed)) {
-      inj->on_access();
-    }
+    on_access();
     const auto ref = arena_.acquire();
-    if (fault::RtInjector* inj = injector_.load(std::memory_order_relaxed)) {
-      inj->on_hold();
-    }
+    on_hold();
     bool ok = arena_.get(ref) == expected;
     if (ok) {
       const std::uint32_t d = arena_.alloc(pid, std::move(desired));
@@ -174,43 +158,22 @@ class BoundedCASValueRegister {
       if (!ok) arena_.dealloc(d);  // loser returns its slot immediately
     }
     arena_.release(ref);
-    if (const obs::RtProbe* p = probe_.load(std::memory_order_relaxed)) {
-      p->on_cas(ok);
-    }
+    on_cas(ok);
     return ok;
-  }
-
-  // Space diagnostics: values ever prepared (incl. the initial; counts slots
-  // from failed swaps too). Monotone even though slots recycle.
-  std::size_t versions() const {
-    return static_cast<std::size_t>(arena_.stats().allocated);
   }
 
   reclaim::ReclaimStats reclaim_stats() const { return arena_.stats(); }
 
-  void attach_probe(const obs::RtProbe* probe) {
-    probe_.store(probe, std::memory_order_release);
-  }
-
-  void attach_injector(fault::RtInjector* injector) {
-    injector_.store(injector, std::memory_order_release);
-  }
-
  private:
   mutable reclaim::VersionArena<T> arena_;
-  std::atomic<const obs::RtProbe*> probe_{nullptr};
-  std::atomic<fault::RtInjector*> injector_{nullptr};
 };
 
-// ---------------------------------------------------------------------------
-// The register names every rt algorithm and the api::RtBackend use for
-// values wider than a word: the bounded-memory registers.
-// ---------------------------------------------------------------------------
-
+// perfbench's cost ladder prices its L1 rows on these two names, for
+// int64 too, so they stay aliases of the arena register.
 template <class T>
-using SWMRRegister = BoundedSWMRRegister<T>;
+using SWMRRegister = ArenaRegister<T>;
 template <class T>
-using CASValueRegister = BoundedCASValueRegister<T>;
+using CASValueRegister = ArenaRegister<T>;
 
 // Whether this CPU runs every 16-byte atomic access as one instruction:
 // with cmpxchg16b and AVX, libatomic's ifunc turns a 16-byte load into one
@@ -230,22 +193,19 @@ inline bool cpu_has_inline_dwcas() {
 #endif
 }
 
-// Multi-writer register with compare-and-swap — the building block for rt
-// structures that go beyond the paper's read/write base model (and the
-// source of kCas trace events). T must be trivially copyable and either
-// small enough for the platform's lock-free std::atomic<T> or exactly 16
-// bytes (a double word: cmpxchg16b + AVX, checked at construction — an
+// The inline register. T must be trivially copyable and either small
+// enough for the platform's lock-free std::atomic<T> or exactly 16 bytes
+// (a double word: cmpxchg16b + AVX, checked at construction — an
 // unsupported CPU aborts rather than silently taking libatomic's locks).
-// No versioning, so no reclamation needed: the value lives inline.
-// api::RtBackend uses it as both Reg<T> and CasReg<T> for integral T of at
-// most 8 bytes and for Stamped<int64> (the word registers). A read never
-// holds anything, so there is no on_hold point. Every access is seq_cst,
-// so word registers are linearizable across registers like the paper's
-// atomic registers (DESIGN.md §9); on x86 a read stays a plain load and a
-// write is one xchg (8 bytes) or a store + mfence (16 bytes).
+// A read never holds anything, so there is no on_hold point. Every access
+// is seq_cst, so inline registers are linearizable across registers like
+// the paper's atomic registers (DESIGN.md §9); on x86 a read stays a plain
+// load and a write is one xchg (8 bytes) or a store + mfence (16 bytes).
 template <class T>
-class CASRegister {
+class CASRegister : public RegisterHooks {
  public:
+  using value_type = T;
+
   explicit CASRegister(T initial) : v_(initial) {
     static_assert(std::atomic<T>::is_always_lock_free || sizeof(T) == 16,
                   "CASRegister requires a lock-free std::atomic<T> or a "
@@ -258,60 +218,35 @@ class CASRegister {
                       "cmpxchg16b and AVX; this CPU lacks one of them");
     }
   }
-
-  CASRegister(const CASRegister&) = delete;
-  CASRegister& operator=(const CASRegister&) = delete;
+  // Any number of writers share the one atomic.
+  CASRegister(int /*num_writers*/, T initial) : CASRegister(initial) {}
 
   T read() const {
-    if (fault::RtInjector* inj = injector_.load(std::memory_order_relaxed)) {
-      inj->on_access();
-    }
+    on_access();
     const T v = v_.load(std::memory_order_seq_cst);
-    if (const obs::RtProbe* p = probe_.load(std::memory_order_relaxed)) {
-      p->on_read();
-    }
+    on_read();
     return v;
   }
 
   void write(T v) {
-    if (fault::RtInjector* inj = injector_.load(std::memory_order_relaxed)) {
-      inj->on_access();
-    }
+    on_access();
     v_.store(v, std::memory_order_seq_cst);
-    if (const obs::RtProbe* p = probe_.load(std::memory_order_relaxed)) {
-      p->on_write();
-    }
+    on_write();
   }
 
-  // On failure `expected` is updated to the observed value, as with
-  // std::atomic::compare_exchange_strong.
-  bool compare_exchange(T& expected, T desired) {
-    if (fault::RtInjector* inj = injector_.load(std::memory_order_relaxed)) {
-      inj->on_access();
-    }
+  bool compare_exchange(int /*pid*/, T expected, T desired) {
+    on_access();
     const bool ok = v_.compare_exchange_strong(expected, desired,
                                                std::memory_order_seq_cst);
-    if (const obs::RtProbe* p = probe_.load(std::memory_order_relaxed)) {
-      p->on_cas(ok);
-    }
+    on_cas(ok);
     return ok;
   }
 
   // Nothing is versioned, so nothing is reclaimed: every field is exactly 0.
   reclaim::ReclaimStats reclaim_stats() const { return {}; }
 
-  void attach_probe(const obs::RtProbe* probe) {
-    probe_.store(probe, std::memory_order_release);
-  }
-
-  void attach_injector(fault::RtInjector* injector) {
-    injector_.store(injector, std::memory_order_release);
-  }
-
  private:
   std::atomic<T> v_;
-  std::atomic<const obs::RtProbe*> probe_{nullptr};
-  std::atomic<fault::RtInjector*> injector_{nullptr};
 };
 
 }  // namespace apram::rt

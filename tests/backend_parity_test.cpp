@@ -6,10 +6,10 @@
 // comparison is rt.writes + rt.cas == sim writes (no ported object uses
 // CAS, so rt.cas stays 0).
 //
-// Also here: RtBackend's register selection (word registers for integral
-// values of at most 8 bytes, the queue's chain addresses among them, and for
-// Stamped<int64>, VersionArena registers for everything else) and the
-// attach points the word registers keep.
+// Also here: RtBackend's register selection (one type for Reg and CasReg;
+// inline word registers for integral values of at most 8 bytes, the queue's
+// chain addresses among them, and for Stamped<int64>, the arena register
+// for everything else) and the attach points the word registers keep.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -36,12 +36,21 @@
 
 namespace apram::parity {
 
+// Reg<T> and CasReg<T> are one type, as on the sim backend: one register
+// interface, whichever storage holds the value.
+template <class T>
+constexpr bool kOneType =
+    std::is_same_v<api::RtBackend::Reg<T>, api::RtBackend::CasReg<T>>;
+static_assert(kOneType<std::int64_t>);
+static_assert(kOneType<farray::Stamped<std::int64_t>>);
+static_assert(kOneType<farray::Stamped<std::int32_t>>);
+static_assert(kOneType<std::vector<int>>);
+
 // Integral values of at most 8 bytes, and the 16-byte unpadded
 // Stamped<int64> FArray nodes, live inline in one std::atomic...
 template <class T>
 constexpr bool kIsWord =
-    std::is_same_v<api::RtBackend::Reg<T>, rt::CASRegister<T>> &&
-    std::is_same_v<api::RtBackend::CasReg<T>, rt::CASRegister<T>>;
+    kOneType<T> && std::is_same_v<api::RtBackend::Reg<T>, rt::CASRegister<T>>;
 static_assert(kIsWord<std::int32_t>);
 static_assert(kIsWord<std::int64_t>);
 static_assert(kIsWord<std::uint64_t>);
@@ -51,15 +60,16 @@ static_assert(kIsWord<farray::Stamped<std::uint64_t>>);
 static_assert(kIsWord<QueueChain>);
 static_assert(kIsWord<farray::Stamped<QueueChain>>);
 
-// ...everything else stays on the bounded VersionArena registers: padded
-// stamps (their padding would take part in a bitwise CAS) and stamps over
-// non-integral payloads.
+// ...everything else lives on the VersionArena: padded stamps (their
+// padding would take part in a bitwise CAS) and stamps over non-integral
+// payloads.
 template <class T>
 constexpr bool kIsArena =
-    std::is_same_v<api::RtBackend::Reg<T>, rt::SWMRRegister<T>> &&
-    std::is_same_v<api::RtBackend::CasReg<T>, rt::CASValueRegister<T>>;
+    kOneType<T> &&
+    std::is_same_v<api::RtBackend::Reg<T>, rt::ArenaRegister<T>>;
 static_assert(kIsArena<farray::Stamped<std::int32_t>>);
 static_assert(kIsArena<universal2::CounterRep<api::RtBackend>::Cell>);
+static_assert(kIsArena<std::vector<int>>);
 static_assert(kIsArena<std::vector<std::int64_t>>);
 
 // Each case: the object under test plus its solo program for pid 0, as a

@@ -36,7 +36,7 @@ RecordedOp<C> op(int pid, C::Invocation inv, std::int64_t resp,
 
 TEST(RtInjector, CountsEveryRegisterAccessPerPid) {
   fault::RtInjector inj(fault::RtInjectOptions{});
-  SWMRRegister<int> reg(0);
+  ArenaRegister<int> reg(0);
   reg.attach_injector(&inj);
   parallel_run(3, [&](int pid) {
     if (pid == 0) {
@@ -52,7 +52,7 @@ TEST(RtInjector, CountsEveryRegisterAccessPerPid) {
 
 TEST(RtInjector, ThreadsWithoutAPidPassThroughUncounted) {
   fault::RtInjector inj(fault::RtInjectOptions{});
-  SWMRRegister<int> reg(7);
+  ArenaRegister<int> reg(7);
   reg.attach_injector(&inj);
   // The main thread has no harness pid (obs::thread_pid() < 0): its accesses
   // are neither counted nor perturbed.
@@ -62,7 +62,7 @@ TEST(RtInjector, ThreadsWithoutAPidPassThroughUncounted) {
 
 TEST(RtInjector, DetachedRegisterInjectsNothing) {
   fault::RtInjector inj(fault::RtInjectOptions{});
-  SWMRRegister<int> reg(0);
+  ArenaRegister<int> reg(0);
   parallel_run(1, [&](int) {
     for (int i = 0; i < 8; ++i) reg.write(i);
   });
@@ -77,7 +77,7 @@ TEST(RtInjector, CertainYieldProbabilityYieldsOnEveryAccess) {
   fault::RtInjectOptions opts;
   opts.yield_prob = 1.0;
   fault::RtInjector inj(opts);
-  SWMRRegister<int> reg(0);
+  ArenaRegister<int> reg(0);
   reg.attach_injector(&inj);
   parallel_run(2, [&](int pid) {
     for (int i = 0; i < 50; ++i) {
@@ -94,7 +94,7 @@ TEST(RtInjector, SleepsFireAndTakePriorityOverYields) {
   opts.sleep_prob = 1.0;  // sleep wins when both would fire
   opts.sleep_max_us = 1;
   fault::RtInjector inj(opts);
-  SWMRRegister<int> reg(0);
+  ArenaRegister<int> reg(0);
   reg.attach_injector(&inj);
   parallel_run(1, [&](int) {
     for (int i = 0; i < 10; ++i) reg.write(i);
@@ -109,7 +109,7 @@ TEST(RtInjector, SleepsFireAndTakePriorityOverYields) {
 
 TEST(RunWithStall, VictimParksAfterExactlyItsQuotaThenResumes) {
   fault::RtInjector inj(fault::RtInjectOptions{});
-  SWMRRegister<int> reg(0);
+  ArenaRegister<int> reg(0);
   reg.attach_injector(&inj);
   int mid_stall_value = -1;
   run_with_stall(
@@ -135,7 +135,7 @@ TEST(RunWithStall, HoldPointParksTheReaderWithItsVersionPinned) {
   // yet must return the value that was current when it parked, fully
   // intact, no matter how many writes landed in between.
   fault::RtInjector inj(fault::RtInjectOptions{});
-  SWMRRegister<std::vector<int>> reg(std::vector<int>(32, 7));
+  ArenaRegister<std::vector<int>> reg(std::vector<int>(32, 7));
   reg.attach_injector(&inj);
   std::vector<int> victim_saw;
   run_with_stall(
@@ -146,9 +146,8 @@ TEST(RunWithStall, HoldPointParksTheReaderWithItsVersionPinned) {
         for (int i = 1; i <= 50; ++i) reg.write(std::vector<int>(32, i));
       },
       /*tracer=*/nullptr, fault::StallPoint::kHold);
-  // Bounded build: the victim parked pre-dereference holding version 7 and
-  // read it after the churn. Unbounded build: on_hold never fires, the
-  // victim finishes first (completion wins) and sees version 7 trivially.
+  // The victim parked pre-dereference holding version 7 and read it after
+  // the churn.
   ASSERT_EQ(victim_saw.size(), 32u);
   for (int v : victim_saw) EXPECT_EQ(v, 7);
   EXPECT_EQ(reg.read()[0], 50);
@@ -158,7 +157,7 @@ TEST(RunWithStall, HoldStallLeavesAccessAccountingExact) {
   // on_hold must not count as an access: a victim parked at the hold point
   // of its 3rd read still reports exactly its access count.
   fault::RtInjector inj(fault::RtInjectOptions{});
-  SWMRRegister<int> reg(0);
+  ArenaRegister<int> reg(0);
   reg.attach_injector(&inj);
   run_with_stall(
       /*num_threads=*/1,
@@ -172,7 +171,7 @@ TEST(RunWithStall, HoldStallLeavesAccessAccountingExact) {
 
 TEST(RunWithStall, CompletionWinsWhenVictimFinishesUnderThreshold) {
   fault::RtInjector inj(fault::RtInjectOptions{});
-  SWMRRegister<int> reg(0);
+  ArenaRegister<int> reg(0);
   reg.attach_injector(&inj);
   bool while_stalled_ran = false;
   run_with_stall(

@@ -315,7 +315,7 @@ TEST(RtObs, ProbeCountsRegisterAccesses) {
                 .writes = &reg.counter("w"),
                 .cas_ops = &reg.counter("c"),
                 .object = 0};
-  rt::SWMRRegister<std::int64_t> r(0);
+  rt::ArenaRegister<std::int64_t> r(0);
   r.attach_probe(&probe);
   r.write(9);
   EXPECT_EQ(r.read(), 9);
@@ -325,12 +325,10 @@ TEST(RtObs, ProbeCountsRegisterAccesses) {
 
   rt::CASRegister<std::int64_t> cr(0);
   cr.attach_probe(&probe);
-  std::int64_t expected = 0;
-  EXPECT_TRUE(cr.compare_exchange(expected, 5));
-  expected = 0;
-  EXPECT_FALSE(cr.compare_exchange(expected, 7));
-  EXPECT_EQ(expected, 5);
+  EXPECT_TRUE(cr.compare_exchange(0, 0, 5));
+  EXPECT_FALSE(cr.compare_exchange(0, 0, 7));
   EXPECT_EQ(reg.counter("c").value(), 2u);
+  EXPECT_EQ(cr.read(), 5);
 }
 
 TEST(RtObs, HarnessTracesSpawnAndDonePerThread) {
@@ -364,7 +362,7 @@ TEST(RtObs, ProbedRegisterTracesUnderHarness) {
                 .writes = &reg.counter("w"),
                 .tracer = &tracer,
                 .object = 3};
-  rt::SWMRRegister<std::int64_t> r(0);
+  rt::ArenaRegister<std::int64_t> r(0);
   r.attach_probe(&probe);
   rt::parallel_run(
       2,
@@ -600,7 +598,7 @@ TEST(Span, RtAmbientSpanTagsProbedAccesses) {
                 .writes = &reg.counter("w"),
                 .tracer = &tracer,
                 .object = 3};
-  rt::SWMRRegister<std::int64_t> r(0);
+  rt::ArenaRegister<std::int64_t> r(0);
   r.attach_probe(&probe);
   rt::parallel_run(
       2,

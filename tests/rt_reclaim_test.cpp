@@ -123,7 +123,7 @@ TEST(ReclaimSoak, SwmrChurnKeepsLiveVersionsAndRssFlat) {
   constexpr std::uint64_t kWrites = 3000;
   constexpr std::size_t kPayloadWords = 128;  // ~1 KiB/version: leaks compound
 
-  SWMRRegister<std::vector<std::uint64_t>> reg(
+  ArenaRegister<std::vector<std::uint64_t>> reg(
       std::vector<std::uint64_t>(kPayloadWords, 0));
   LiveWatermark peak;
   std::uint64_t rss_after_first_epoch = 0;
@@ -199,7 +199,7 @@ TEST(ReclaimSoak, SwmrChurnOversubscribedKeepsLiveVersionsBounded) {
   constexpr std::uint64_t kWrites = 4000;
   constexpr std::size_t kPayloadWords = 128;
 
-  SWMRRegister<std::vector<std::uint64_t>> reg(
+  ArenaRegister<std::vector<std::uint64_t>> reg(
       std::vector<std::uint64_t>(kPayloadWords, 0));
   LiveWatermark peak;
   std::atomic<bool> done{false};
@@ -253,7 +253,7 @@ TEST(ReclaimSoak, CasChurnCleansUpLosersAndConserves) {
   constexpr std::uint64_t kAttemptsPerThread = 4000;
   constexpr std::size_t kBlobWords = 64;
 
-  CASValueRegister<SeqVal> reg(kThreads, SeqVal{0, 0, {}});
+  ArenaRegister<SeqVal> reg(kThreads, SeqVal{0, 0, {}});
   LiveWatermark peak;
   std::vector<std::uint64_t> wins(kThreads, 0);
 
@@ -338,7 +338,7 @@ TEST(ReclaimSoak, StalledReaderPinsItsVersionAcrossChurn) {
   constexpr std::uint64_t kChurnWrites = 500;
 
   fault::RtInjector inj(fault::RtInjectOptions{});
-  SWMRRegister<std::vector<std::uint64_t>> reg(
+  ArenaRegister<std::vector<std::uint64_t>> reg(
       std::vector<std::uint64_t>(kPayloadWords, 1));
   reg.attach_injector(&inj);
 
@@ -396,7 +396,7 @@ TEST(ReclaimSoak, StreamingReadersProgressPastAPinnedReader) {
   constexpr std::size_t kPayloadWords = 64;
 
   fault::RtInjector inj(fault::RtInjectOptions{});
-  SWMRRegister<std::vector<std::uint64_t>> reg(
+  ArenaRegister<std::vector<std::uint64_t>> reg(
       std::vector<std::uint64_t>(kPayloadWords, 1));
   reg.attach_injector(&inj);
 

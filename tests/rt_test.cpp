@@ -1,7 +1,7 @@
-// Real-thread runtime tests: SWMR register publication, the 16-byte inline
-// CAS register under contention, snapshot scans under concurrent updaters,
-// FastCounterRT conservation, approximate agreement with real threads, and
-// the thread harness itself.
+// Real-thread runtime tests: arena register publication, CAS and writer
+// checks, the 16-byte inline register under contention, snapshot scans
+// under concurrent updaters, FastCounterRT conservation, approximate
+// agreement with real threads, and the thread harness itself.
 //
 // These run on however many hardware threads exist (including 1); they rely
 // on preemptive scheduling, not parallelism, so they are meaningful — if
@@ -30,21 +30,21 @@ namespace apram::rt {
 namespace {
 
 TEST(SWMRRegister, InitialValueReadable) {
-  SWMRRegister<int> reg(42);
+  ArenaRegister<int> reg(42);
   EXPECT_EQ(reg.read(), 42);
-  EXPECT_EQ(reg.versions(), 1u);
+  EXPECT_EQ(reg.reclaim_stats().allocated, 1u);
 }
 
 TEST(SWMRRegister, WriteThenRead) {
-  SWMRRegister<std::string> reg("a");
+  ArenaRegister<std::string> reg("a");
   reg.write("b");
   reg.write("c");
   EXPECT_EQ(reg.read(), "c");
-  EXPECT_EQ(reg.versions(), 3u);
+  EXPECT_EQ(reg.reclaim_stats().allocated, 3u);
 }
 
 TEST(SWMRRegister, ConcurrentReadersSeeSomeWrittenValue) {
-  SWMRRegister<std::uint64_t> reg(0);
+  ArenaRegister<std::uint64_t> reg(0);
   std::atomic<bool> stop{false};
   std::vector<std::uint64_t> seen_bad(8, 0);
   parallel_run(3, [&](int pid) {
@@ -98,17 +98,17 @@ TEST(VersionArena, DeallocReturnsTheSlotForImmediateReuse) {
 }
 
 TEST(SWMRRegister, MemoryStaysBoundedAcrossManyWrites) {
-  SWMRRegister<std::vector<int>> reg(std::vector<int>(8, 0));
+  ArenaRegister<std::vector<int>> reg(std::vector<int>(8, 0));
   for (int i = 1; i <= 1000; ++i) reg.write(std::vector<int>(8, i));
   EXPECT_EQ(reg.read()[0], 1000);
-  EXPECT_EQ(reg.versions(), 1001u);
   const auto s = reg.reclaim_stats();
+  EXPECT_EQ(s.allocated, 1001u);
   EXPECT_LE(s.live_versions(), 2u);  // memory ∝ holders, not writes
   EXPECT_GE(s.recycled, 990u);
 }
 
 TEST(CASValueRegister, FailedValueCompareAllocatesNothing) {
-  CASValueRegister<int> reg(2, 10);
+  ArenaRegister<int> reg(2, 10);
   const auto before = reg.reclaim_stats();
   EXPECT_FALSE(reg.compare_exchange(1, /*expected=*/99, 5));
   EXPECT_EQ(reg.read(), 10);
@@ -116,12 +116,42 @@ TEST(CASValueRegister, FailedValueCompareAllocatesNothing) {
 }
 
 TEST(CASValueRegister, SuccessfulSwapsRecycleSupersededVersions) {
-  CASValueRegister<int> reg(1, 0);
+  ArenaRegister<int> reg(1, 0);
   for (int i = 1; i <= 200; ++i) {
     EXPECT_TRUE(reg.compare_exchange(0, i - 1, i));
   }
   EXPECT_EQ(reg.read(), 200);
   EXPECT_LE(reg.reclaim_stats().live_versions(), 2u);
+}
+
+// Reg<T> and CasReg<T> are one type, so a write and a CAS can land on one
+// register: its sole writer does both, from the one free list. At
+// quiescence every field is exact: 1 initial + 3 writes + 2 won CASes
+// allocated, a lost value compare allocates nothing, each install retires
+// its predecessor, and only the published version stays live.
+TEST(ArenaRegister, SoleWriterWritesAndCasesWithExactReclaimStats) {
+  ArenaRegister<std::string> reg("v0");
+  reg.write("v1");
+  EXPECT_TRUE(reg.compare_exchange(0, "v1", "v2"));
+  reg.write("v3");
+  EXPECT_FALSE(reg.compare_exchange(0, "v1", "lost"));
+  EXPECT_TRUE(reg.compare_exchange(0, "v3", "v4"));
+  reg.write("v5");
+  EXPECT_EQ(reg.read(), "v5");
+  const auto s = reg.reclaim_stats();
+  EXPECT_EQ(s.allocated, 6u);
+  EXPECT_EQ(s.retired, 5u);
+  EXPECT_EQ(s.recycled, 4u);
+  EXPECT_EQ(s.live_versions(), 1u);
+  EXPECT_EQ(s.acquire_contention, 0u);
+}
+
+// A writer index beyond the arena's writers would index past its free
+// lists; the arena stops instead.
+TEST(ArenaRegisterDeathTest, CasFromAPidBeyondItsWritersAborts) {
+  ArenaRegister<int> reg(1, 0);
+  EXPECT_DEATH((void)reg.compare_exchange(3, 0, 1),
+               "writer < num_writers_");
 }
 
 // The 16-byte inline register under contention: four threads install
@@ -146,7 +176,8 @@ TEST(CASRegister, StampedDoubleWordNeverTearsOrLosesACas) {
     if (pid < kCasThreads) {
       for (int i = 0; i < kAttempts; ++i) {
         Node cur = reg.read();
-        if (reg.compare_exchange(cur, Node{cur.seq + 1, g(cur.seq + 1)})) {
+        if (reg.compare_exchange(pid, cur,
+                                 Node{cur.seq + 1, g(cur.seq + 1)})) {
           ++wins[static_cast<std::size_t>(pid)];
         }
       }
